@@ -13,7 +13,7 @@ or paths, with parity and weight-dominance constraints on coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .builder import BipartiteColoring
 from .core import EdgeColoring, TwinPair, Verdict, check_index_lists, validate_twin
@@ -21,6 +21,9 @@ from .rng import Rng, derive_seed
 from .sequences import LetterString, Permutation
 
 BLOCK_WEIGHT_BASE = 3
+# Distinct (block count, edge set) pairs kept by `_block_graph`; the default
+# blockclaims grid has 21.
+BLOCK_GRAPH_CACHE_SIZE = 128
 
 
 def extremal_no_matchable(size_a: int, size_b: int, r: int) -> BipartiteColoring:
@@ -256,7 +259,7 @@ class BlockProfile:
         if self.x.r != self.r:
             raise ValueError("profile palette must match its string")
 
-    @property
+    @cached_property
     def block_count(self) -> int:
         return self.x.length
 
@@ -402,6 +405,11 @@ def _classify_components(m: int, edges: frozenset[tuple[int, int]]) -> tuple[Blo
     return tuple(components)
 
 
+@lru_cache(maxsize=BLOCK_GRAPH_CACHE_SIZE)
+def _block_graph(m: int, edges: frozenset[tuple[int, int]]) -> BlockGraph:
+    return BlockGraph(m, edges, _classify_components(m, edges))
+
+
 def twin_block_graph(profile: BlockProfile, twin: TwinPair) -> BlockGraph:
     verdict = _validate_block_twin(profile, twin)
     if not verdict:
@@ -411,8 +419,7 @@ def twin_block_graph(profile: BlockProfile, twin: TwinPair) -> BlockGraph:
     for i, j in zip(twin.first, twin.second):
         a, b = ids[i], ids[j]
         edges.add((a, b) if a <= b else (b, a))
-    frozen = frozenset(edges)
-    return BlockGraph(profile.block_count, frozen, _classify_components(profile.block_count, frozen))
+    return _block_graph(profile.block_count, frozenset(edges))
 
 
 def uncovered_blocks(profile: BlockProfile, twin: TwinPair) -> frozenset[int]:
@@ -420,15 +427,20 @@ def uncovered_blocks(profile: BlockProfile, twin: TwinPair) -> frozenset[int]:
     verdict = _validate_block_twin(profile, twin)
     if not verdict:
         raise ValueError(f"not a twin of the block coloring: {verdict.reason}")
-    covered = [0] * (profile.block_count + 1)
+    return _uncovered(profile, twin)
+
+
+def _uncovered(profile: BlockProfile, twin: TwinPair) -> frozenset[int]:
+    """`uncovered_blocks` for a twin the caller has already validated."""
+    m = profile.block_count
+    covered = [0] * (m + 1)
     ids = profile.block_ids
     for i in twin.first:
         covered[ids[i]] += 1
     for j in twin.second:
         covered[ids[j]] += 1
-    return frozenset(
-        k for k in range(1, profile.block_count + 1) if covered[k] < profile.weights[k - 1]
-    )
+    weights = profile.weights
+    return frozenset(k for k in range(1, m + 1) if covered[k] < weights[k - 1])
 
 
 # ---------------------------------------------------------------------------

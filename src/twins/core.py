@@ -42,18 +42,18 @@ def check_index_lists(n: int, first: Sequence[int], second: Sequence[int]) -> Ve
     for non-increasing lists, size mismatch, or overlap.
     """
     for side in (first, second):
-        for v in side:
-            if not 1 <= v <= n:
-                raise ValueError(f"index {v} out of range [1..{n}]")
+        if side and not (1 <= min(side) and max(side) <= n):
+            for v in side:
+                if not 1 <= v <= n:
+                    raise ValueError(f"index {v} out of range [1..{n}]")
     for name, side in (("first", first), ("second", second)):
         for t in range(len(side) - 1):
             if side[t] >= side[t + 1]:
                 return Verdict(False, f"{name}_not_increasing", t + 1)
     if len(first) != len(second):
         return Verdict(False, "size_mismatch", None)
-    overlap = set(first) & set(second)
-    if overlap:
-        return Verdict(False, "overlap", min(overlap))
+    if not set(first).isdisjoint(second):
+        return Verdict(False, "overlap", min(set(first) & set(second)))
     return VALID
 
 

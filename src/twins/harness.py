@@ -32,7 +32,9 @@ from dataclasses import asdict, dataclass, field
 from ._version import VERSION
 from .builder import build_twin_binary, build_twin_general
 from .constructions import (
+    BlockGraph,
     BlockProfile,
+    _uncovered,
     block_coloring,
     composite_coloring,
     random_coloring,
@@ -99,6 +101,8 @@ class SuiteConfig:
             raise ConfigError("time_limit", "must be positive")
         if self.jobs < 1:
             raise ConfigError("jobs", "must be positive")
+        if self.time_limit is not None and self.jobs > 1:
+            raise ConfigError("time_limit", "is only honored with jobs=1; the worker pool has no deadline")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -636,7 +640,12 @@ def check_block_claims(profile: BlockProfile, max_twins: int) -> tuple[int, list
     """Enumerate every twin of the block coloring and test the four
     structural claims: component shapes, loop parity, weight dominance,
     and covered-path endpoint equality. Returns (count, violations,
-    budget_exceeded)."""
+    budget_exceeded).
+
+    Every twin is validated once, by `twin_block_graph`. The claims depend
+    only on the twin's block signature (block-edge set, uncovered blocks),
+    so they are evaluated once per signature and each twin reports the
+    violations of its signature under its own index lists."""
     letters = profile.x.letters
     coloring = block_coloring(profile)
     violations: list[str] = []
@@ -647,6 +656,7 @@ def check_block_claims(profile: BlockProfile, max_twins: int) -> tuple[int, list
     if twin_block_graph(profile, EMPTY_TWIN).component_count != profile.block_count:
         violations.append("empty twin must induce one singleton per block")
 
+    verdicts: dict[tuple[frozenset, frozenset], tuple[str, ...]] = {}
     count = 0
     for first, second in enumerate_twins(coloring):
         count += 1
@@ -654,27 +664,38 @@ def check_block_claims(profile: BlockProfile, max_twins: int) -> tuple[int, list
             return count, violations, True
         twin = TwinPair(first, second)
         graph = twin_block_graph(profile, twin)
-        uncovered = uncovered_blocks(profile, twin)
-        for comp in graph.components:
-            if comp.kind == "other":
-                _note(violations, f"twin {first}/{second}: component {comp.vertices} "
-                      "is not a singleton, loop, or path")
-            elif comp.kind == "loop":
-                if comp.vertices[0] not in uncovered:
-                    _note(violations, f"twin {first}/{second}: looped block "
-                          f"{comp.vertices[0]} is fully covered (parity)")
-            elif comp.kind == "path":
-                vs = comp.vertices
-                for t in range(len(vs) - 2):
-                    k1, k2, k3 = vs[t], vs[t + 1], vs[t + 2]
-                    if letters[k2 - 1] > max(letters[k1 - 1], letters[k3 - 1]):
-                        if k2 not in uncovered:
-                            _note(violations, f"twin {first}/{second}: dominant middle "
-                                  f"block {k2} is fully covered")
-                if not (set(vs) & uncovered) and letters[vs[0] - 1] != letters[vs[-1] - 1]:
-                    _note(violations, f"twin {first}/{second}: covered path "
-                          f"{vs} has unequal endpoint letters")
+        uncovered = _uncovered(profile, twin)
+        key = (graph.edges, uncovered)
+        suffixes = verdicts.get(key)
+        if suffixes is None:
+            suffixes = verdicts[key] = _claim_violations(letters, graph, uncovered)
+        for suffix in suffixes:
+            _note(violations, f"twin {first}/{second}: {suffix}")
     return count, violations, False
+
+
+def _claim_violations(
+    letters: tuple[int, ...], graph: BlockGraph, uncovered: frozenset[int]
+) -> tuple[str, ...]:
+    """The four block claims for one signature, as violation messages
+    without their twin prefix, in component order."""
+    found = []
+    for comp in graph.components:
+        if comp.kind == "other":
+            found.append(f"component {comp.vertices} is not a singleton, loop, or path")
+        elif comp.kind == "loop":
+            if comp.vertices[0] not in uncovered:
+                found.append(f"looped block {comp.vertices[0]} is fully covered (parity)")
+        elif comp.kind == "path":
+            vs = comp.vertices
+            for t in range(len(vs) - 2):
+                k1, k2, k3 = vs[t], vs[t + 1], vs[t + 2]
+                if letters[k2 - 1] > max(letters[k1 - 1], letters[k3 - 1]):
+                    if k2 not in uncovered:
+                        found.append(f"dominant middle block {k2} is fully covered")
+            if not (set(vs) & uncovered) and letters[vs[0] - 1] != letters[vs[-1] - 1]:
+                found.append(f"covered path {vs} has unequal endpoint letters")
+    return tuple(found)
 
 
 def _note(violations: list[str], message: str) -> None:
@@ -711,14 +732,16 @@ def run_suite(config: SuiteConfig, only_case: str | None = None) -> RunReport:
 
     Cases execute on a worker pool when jobs > 1 and are always reduced
     in case-index order, so reports do not depend on completion order.
+    A record made by the suite's cross-case check is replayed by running
+    every case it may read.
     """
     config.validate()
     build_cases, run_case, post = _SUITES[config.suite]
     cases = build_cases(config)
     if only_case is not None:
-        cases = [c for c in cases if _case_id(config.suite, c["index"]) == only_case]
-        if not cases:
-            raise ConfigError("replay", f"unknown case id {only_case!r}")
+        selected = [c for c in cases if _case_id(config.suite, c["index"]) == only_case]
+        if selected or post is None:
+            cases, post = selected, None
     report = RunReport(config.suite, VERSION, config.seed, config.to_dict())
     if config.jobs > 1 and len(cases) > 1:
         import multiprocessing
@@ -754,8 +777,12 @@ def run_suite(config: SuiteConfig, only_case: str | None = None) -> RunReport:
             records.append(run_case(config, case))
     records.sort(key=lambda rec: rec.index)
     report.cases.extend(records)
-    if post is not None and only_case is None:
+    if post is not None:
         report.cases.extend(post(config, records))
+    if only_case is not None:
+        report.cases = [c for c in report.cases if c.case_id == only_case]
+        if not report.cases:
+            raise ConfigError("replay", f"unknown case id {only_case!r}")
     if config.out_dir:
         write_report_files(report, config.out_dir)
     return report

@@ -4,9 +4,18 @@ These enumerate index subsets literally via itertools and share no code
 with the package's search engines; they are only practical for tiny
 instances. A twin's prefix is itself a twin, so each maximizer walks
 sizes upward and stops at the first miss.
+
+The two reference loops at the end are the plain forms of package
+checks that have a fast path: they call only the package's public
+functions and evaluate everything else element by element or twin by
+twin.
 """
 
 from itertools import combinations
+
+from twins.constructions import block_coloring, twin_block_graph, uncovered_blocks
+from twins.core import EMPTY_TWIN, VALID, TwinPair, Verdict
+from twins.oracle import enumerate_twins
 
 
 def _all_disjoint_pairs(n, size):
@@ -96,3 +105,61 @@ def brute_enumerate_twins(c):
             ):
                 twins.add((first, second))
     return twins
+
+
+def loop_check_index_lists(n, first, second):
+    """The element-by-element form of `core.check_index_lists`."""
+    for side in (first, second):
+        for v in side:
+            if not 1 <= v <= n:
+                raise ValueError(f"index {v} out of range [1..{n}]")
+    for name, side in (("first", first), ("second", second)):
+        for t in range(len(side) - 1):
+            if side[t] >= side[t + 1]:
+                return Verdict(False, f"{name}_not_increasing", t + 1)
+    if len(first) != len(second):
+        return Verdict(False, "size_mismatch", None)
+    overlap = set(first) & set(second)
+    if overlap:
+        return Verdict(False, "overlap", min(overlap))
+    return VALID
+
+
+def per_twin_block_claims(profile, max_twins):
+    """`check_block_claims` with the four claims evaluated on every twin
+    from the public `twin_block_graph` and `uncovered_blocks`, no memo."""
+    letters = profile.x.letters
+    violations = []
+
+    def note(message):
+        if len(violations) < 50:
+            violations.append(message)
+
+    if uncovered_blocks(profile, EMPTY_TWIN) != frozenset(range(1, profile.block_count + 1)):
+        violations.append("empty twin must leave every block uncovered")
+    if twin_block_graph(profile, EMPTY_TWIN).component_count != profile.block_count:
+        violations.append("empty twin must induce one singleton per block")
+    count = 0
+    for first, second in enumerate_twins(block_coloring(profile)):
+        count += 1
+        if count > max_twins:
+            return count, violations, True
+        twin = TwinPair(first, second)
+        graph = twin_block_graph(profile, twin)
+        uncovered = uncovered_blocks(profile, twin)
+        prefix = f"twin {first}/{second}: "
+        for comp in graph.components:
+            vs = comp.vertices
+            if comp.kind == "other":
+                note(prefix + f"component {vs} is not a singleton, loop, or path")
+            elif comp.kind == "loop" and vs[0] not in uncovered:
+                note(prefix + f"looped block {vs[0]} is fully covered (parity)")
+            elif comp.kind == "path":
+                for k1, k2, k3 in zip(vs, vs[1:], vs[2:]):
+                    heavier = letters[k2 - 1] > max(letters[k1 - 1], letters[k3 - 1])
+                    if heavier and k2 not in uncovered:
+                        note(prefix + f"dominant middle block {k2} is fully covered")
+                covered = all(k not in uncovered for k in vs)
+                if covered and letters[vs[0] - 1] != letters[vs[-1] - 1]:
+                    note(prefix + f"covered path {vs} has unequal endpoint letters")
+    return count, violations, False

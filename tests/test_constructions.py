@@ -233,6 +233,13 @@ class TestBlockGraph:
         with pytest.raises(ValueError):
             twin_block_graph(self.PROFILE, TwinPair((1, 2), (3, 4)))
 
+    @pytest.mark.parametrize("invalid", [TwinPair((4, 1), (5, 2)), TwinPair((1, 4), (1, 5))])
+    def test_invalid_twin_rejected_after_its_edge_set_is_cached(self, invalid):
+        valid = twin_block_graph(self.PROFILE, TwinPair((1, 4), (2, 5)))
+        assert valid.edges == frozenset({(1, 1), (2, 2)})
+        with pytest.raises(ValueError, match="not a twin of the block coloring"):
+            twin_block_graph(self.PROFILE, invalid)
+
 
 class TestUncoveredBlocks:
     PROFILE = BlockProfile(1, LetterString(1, (1, 1)))

@@ -2,12 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute_oracles import loop_check_index_lists
 from twins.core import (
     EMPTY_TWIN,
     EdgeColoring,
     FormatError,
     MatchOrientation,
     TwinPair,
+    check_index_lists,
     extend_twin,
     find_matchable_orientation,
     get_color,
@@ -103,6 +105,27 @@ class TestValidateTwin:
         c = random_coloring(9, 3, seed)
         pair = data.draw(st.lists(st.integers(1, 9), min_size=2, max_size=2, unique=True))
         assert validate_twin(c, TwinPair((pair[0],), (pair[1],))).ok
+
+
+# Arbitrary index lists, and increasing ones that often form a valid pair.
+INDEX_LISTS = st.one_of(
+    st.lists(st.integers(-2, 15), max_size=6),
+    st.lists(st.integers(1, 12), max_size=6, unique=True).map(sorted),
+)
+
+
+class TestCheckIndexLists:
+    @given(n=st.integers(0, 12), first=INDEX_LISTS, second=INDEX_LISTS)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_element_loop(self, n, first, second):
+        try:
+            expected = loop_check_index_lists(n, first, second)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                check_index_lists(n, first, second)
+            assert str(err.value) == str(exc)
+        else:
+            assert check_index_lists(n, first, second) == expected
 
 
 class TestCMatching:

@@ -55,6 +55,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SuiteConfig.from_dict({"suite": "tables", "grid": [], "typo": 1})
 
+    def test_time_limit_with_pool_rejected(self):
+        config = tiny_config("guarantees", time_limit=5.0, jobs=2)
+        with pytest.raises(ConfigError) as err:
+            run_suite(config)
+        assert err.value.field_name == "time_limit"
+
     def test_json_file_roundtrip(self, tmp_path):
         config = tiny_config("twinbound")
         path = tmp_path / "cfg.json"
@@ -178,6 +184,25 @@ class TestReplay:
         with pytest.raises(ConfigError):
             run_suite(tiny_config("twinbound"), only_case="twinbound-09999")
 
+    def test_replay_tables_compare_record(self, tmp_path):
+        config = SuiteConfig(
+            "tables", [{"kind": "coloring", "n": 4, "r": 2}, {"kind": "weak", "n": 4}], seed=7
+        )
+        config.out_dir = str(tmp_path)
+        report = run_suite(config)
+        target = report.cases[2]
+        assert target.case_id == "tables-00002" and target.params["table"] == "compare"
+        replayed = replay_case(str(tmp_path / "tables_report.json"), "tables-00002")
+        assert replayed == target
+
+    def test_replay_tables_row_skips_compare(self):
+        report = run_suite(tiny_config("tables"), only_case="tables-00001")
+        assert [c.case_id for c in report.cases] == ["tables-00001"]
+
+    def test_unknown_tables_case_rejected(self):
+        with pytest.raises(ConfigError):
+            run_suite(tiny_config("tables"), only_case="tables-00009")
+
 
 class TestCli:
     def test_suite_run_and_exit_code(self, tmp_path, capsys):
@@ -204,6 +229,13 @@ class TestCli:
         )
         assert code == 0
         assert "lcs-tail-00003" in capsys.readouterr().out
+
+    def test_cli_replay_tables_compare(self, tmp_path, capsys):
+        run_suite(tiny_config("tables", out_dir=str(tmp_path)))
+        report = str(tmp_path / "tables_report.json")
+        code = main(["replay", "--report", report, "--case", "tables-00003"])
+        assert code == 0
+        assert "tables-00003: PASS value=1<=1" in capsys.readouterr().out
 
     def test_inline_replay_flag(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
