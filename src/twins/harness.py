@@ -351,17 +351,7 @@ def _run_tables(config: SuiteConfig, case: dict) -> CaseRecord:
         else:
             raise ConfigError("grid", f"unknown table kind {kind!r}")
     except BudgetExceededError as exc:
-        return CaseRecord(
-            case_id=_case_id(config.suite, case["index"]),
-            index=case["index"],
-            params=params,
-            seed=case["seed"],
-            value="",
-            bound="",
-            passed=None,
-            kind="resource",
-            detail=str(exc),
-        )
+        return _resource_record(config, case, str(exc))
     value = result.value
     lo, hi = _table_envelope(kind, n, r)
     passed = lo <= value <= hi
@@ -488,7 +478,10 @@ def _run_twinbound(config: SuiteConfig, case: dict) -> CaseRecord:
     r, m = params["r"], params["m"]
     spec = random_composite_spec(r, m, case["seed"])
     coloring = composite_coloring(spec)
-    size, _ = max_twin(coloring)
+    try:
+        size, _ = max_twin(coloring, max_states=config.max_states)
+    except BudgetExceededError as exc:
+        return _resource_record(config, case, str(exc))
     fx = max_string_twin(spec.x)[0]
     fy = max_string_twin(spec.y)[0]
     max_lcs = max(
@@ -721,6 +714,21 @@ def _case_id(suite: str, index: int) -> str:
     return f"{suite}-{index:05d}"
 
 
+def _resource_record(config: SuiteConfig, case: dict, detail: str) -> CaseRecord:
+    """A case stopped by a budget or the time limit: no value, no verdict."""
+    return CaseRecord(
+        case_id=_case_id(config.suite, case["index"]),
+        index=case["index"],
+        params=case["params"],
+        seed=case["seed"],
+        value="",
+        bound="",
+        passed=None,
+        kind="resource",
+        detail=detail,
+    )
+
+
 def _pool_run_case(payload):
     suite, config_dict, case = payload
     config = SuiteConfig.from_dict(config_dict)
@@ -760,19 +768,7 @@ def run_suite(config: SuiteConfig, only_case: str | None = None) -> RunReport:
             ):
                 deadline_hit = True
             if deadline_hit:
-                records.append(
-                    CaseRecord(
-                        case_id=_case_id(config.suite, case["index"]),
-                        index=case["index"],
-                        params=case["params"],
-                        seed=case["seed"],
-                        value="",
-                        bound="",
-                        passed=None,
-                        kind="resource",
-                        detail="wall-clock soft limit reached",
-                    )
-                )
+                records.append(_resource_record(config, case, "wall-clock soft limit reached"))
                 continue
             records.append(run_case(config, case))
     records.sort(key=lambda rec: rec.index)

@@ -13,8 +13,10 @@ validated against the plain one by the test and acceptance suites.
 Extremal tables (minimum over all colorings / strings / permutations)
 enumerate their spaces in a fixed order under an explicit enumeration
 budget; per-instance searches are capped at the running minimum, which
-keeps the scans exact while skipping no instance. Enumeration ranges
-can be sharded across a process pool.
+keeps the scans exact while skipping no instance. Colorings and
+permutations are decided by the capped synchronized-pair search, strings
+by a capped form of the string-twin scan. Enumeration ranges can be
+sharded across a process pool.
 """
 
 from __future__ import annotations
@@ -367,6 +369,49 @@ def max_string_twin(
     return size, (first, second)
 
 
+def _capped_string_max(letters: tuple[int, ...], cap: int) -> int:
+    """min(max string-twin length, cap): the scan of max_string_twin as a
+    depth-first decision search over (pos, queue, m), m = pairs matched.
+
+    Tries match, then push, then skip, and stops once `cap` is reached.
+    With r = n - pos positions left, at most min(r, (len(queue) + r) // 2)
+    more pairs can match (a pair not yet queued needs two positions), so
+    branches that cannot beat the current best are pruned. `dead` keeps,
+    per (pos, queue), the largest m that failed there: a state that failed
+    with m matches cannot succeed with fewer, and best only grows.
+    """
+    if cap <= 0:
+        return 0
+    n = len(letters)
+    best = 0
+    dead: dict = {}
+
+    def dfs(pos: int, queue: tuple[int, ...], m: int) -> bool:
+        nonlocal best
+        if m > best:
+            best = m
+            if best >= cap:
+                return True
+        r = n - pos
+        if m + min(r, (len(queue) + r) // 2) <= best:
+            return False
+        key = (pos, queue)
+        if dead.get(key, -1) >= m:
+            return False
+        a = letters[pos]
+        if queue and queue[0] == a and dfs(pos + 1, queue[1:], m + 1):
+            return True
+        if len(queue) < r - 1 and dfs(pos + 1, queue + (a,), m):
+            return True
+        if dfs(pos + 1, queue, m):
+            return True
+        dead[key] = m
+        return False
+
+    dfs(0, (), 0)
+    return best
+
+
 def enumerate_twins(
     c: EdgeColoring, max_size: int | None = None
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -521,7 +566,10 @@ def _scan_strings(args) -> tuple[int, int, tuple[int, ...]]:
     best_letters: tuple[int, ...] = ()
     for offset, digits in enumerate(_iter_base_counter(n, r, start, stop)):
         letters = tuple(d + 1 for d in digits)
-        value, _ = max_string_twin(LetterString(r, letters))
+        if best is None:
+            value, _ = max_string_twin(LetterString(r, letters))
+        else:
+            value = _capped_string_max(letters, best)
         if best is None or value < best:
             best = value
             best_idx = start + offset
@@ -601,7 +649,13 @@ def exact_F_string(
     max_enumerations: int = DEFAULT_MAX_ENUMERATIONS,
     jobs: int = 1,
 ) -> ExtremalResult:
-    """Minimum of max_string_twin over [r]^n (r=2 reaches n=21 at the default budget)."""
+    """Minimum of max_string_twin over [r]^n (r=2 reaches n=21 at the default budget).
+
+    Each shard runs max_string_twin on its first string and decides every
+    later one with the scan capped at the running minimum, which cannot
+    change the result or the first minimizer: a capped scan only certifies
+    that the string is not a new minimizer.
+    """
     if n < 1 or r < 1:
         raise ValueError("n and r must be positive")
     total = r**n

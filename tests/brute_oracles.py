@@ -5,17 +5,18 @@ with the package's search engines; they are only practical for tiny
 instances. A twin's prefix is itself a twin, so each maximizer walks
 sizes upward and stops at the first miss.
 
-The two reference loops at the end are the plain forms of package
-checks that have a fast path: they call only the package's public
-functions and evaluate everything else element by element or twin by
-twin.
+The reference loops at the end are the plain forms of package checks
+and scans that have a fast path: they call only the package's public
+functions and evaluate everything else element by element, twin by twin
+or instance by instance.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 from twins.constructions import block_coloring, twin_block_graph, uncovered_blocks
 from twins.core import EMPTY_TWIN, VALID, TwinPair, Verdict
-from twins.oracle import enumerate_twins
+from twins.oracle import enumerate_twins, max_string_twin
+from twins.sequences import LetterString
 
 
 def _all_disjoint_pairs(n, size):
@@ -163,3 +164,15 @@ def per_twin_block_claims(profile, max_twins):
                 if covered and letters[vs[0] - 1] != letters[vs[-1] - 1]:
                     note(prefix + f"covered path {vs} has unequal endpoint letters")
     return count, violations, False
+
+
+def full_scan_strings(n, r):
+    """`exact_F_string` without its cap: the exact maximizer on every string
+    of [r]^n in counter order (last letter fastest); returns the minimum
+    and its first minimizer's letters."""
+    best = None
+    for letters in product(range(1, r + 1), repeat=n):
+        value = max_string_twin(LetterString(r, letters))[0]
+        if best is None or value < best[0]:
+            best = (value, letters)
+    return best

@@ -163,6 +163,18 @@ class TestTwinboundSuite:
         for case in report.cases:
             assert case.value <= case.bound
 
+    def test_state_cap_gives_resource_records(self):
+        report = run_suite(tiny_config("twinbound", max_states=1))
+        assert [c.kind for c in report.cases] == ["resource"] * 4
+        assert all("search states" in c.detail for c in report.cases)
+        assert report.ok
+
+    def test_ample_state_cap_keeps_values(self):
+        capped = run_suite(tiny_config("twinbound", max_states=10**6))
+        uncapped = run_suite(tiny_config("twinbound"))
+        assert [c.kind for c in capped.cases] == ["assert"] * 4
+        assert [c.value for c in capped.cases] == [c.value for c in uncapped.cases]
+
 
 class TestReplay:
     def test_replay_single_case(self, tmp_path):

@@ -9,11 +9,13 @@ from brute_oracles import (
     brute_max_string_twin,
     brute_max_twin,
     brute_max_weak_twin,
+    full_scan_strings,
 )
 from twins.constructions import random_coloring, random_permutation, random_string
 from twins.core import EdgeColoring, relabel_palette, validate_twin
 from twins.oracle import (
     BudgetExceededError,
+    _capped_string_max,
     enumerate_twins,
     exact_F,
     exact_F_string,
@@ -141,6 +143,36 @@ class TestMaxStringTwin:
         assert max_string_twin(x)[0] == size
 
 
+class TestCappedStringMax:
+    """The capped scan kernel of exact_F_string against the exact maximizer."""
+
+    @pytest.mark.parametrize("r,n", [(2, n) for n in range(1, 11)] + [(3, n) for n in range(1, 7)])
+    def test_exhaustive_every_cap(self, r, n):
+        for letters in product(range(1, r + 1), repeat=n):
+            expected = max_string_twin(LetterString(r, letters))[0]
+            for cap in range(n // 2 + 2):
+                assert _capped_string_max(letters, cap) == min(expected, cap), (letters, cap)
+
+    @pytest.mark.parametrize(
+        "letters",
+        [(1, 2, 1, 2), (1, 1, 2, 2), (1, 2, 2, 1), (2, 1, 1, 2, 1, 2, 2), (1, 2, 3, 1, 2, 3, 3, 1)],
+    )
+    def test_matches_brute_force(self, letters):
+        x = LetterString(max(letters), letters)
+        expected = brute_max_string_twin(x)
+        assert _capped_string_max(letters, len(letters)) == expected
+        assert _capped_string_max(letters, expected) == expected
+        if expected:
+            assert _capped_string_max(letters, expected - 1) == expected - 1
+
+    @given(seed=st.integers(0, 10**9), n=st.integers(1, 16), r=st.integers(1, 4), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_exact_maximizer(self, seed, n, r, data):
+        x = random_string(n, r, seed)
+        cap = data.draw(st.integers(0, n // 2 + 1))
+        assert _capped_string_max(x.letters, cap) == min(max_string_twin(x)[0], cap)
+
+
 class TestMaxWeakTwin:
     def test_tiny(self):
         assert max_weak_twin(Permutation((1, 2)))[0] == 1
@@ -241,8 +273,16 @@ class TestExactTables:
         assert (serial.value, serial.minimizer) == (parallel.value, parallel.minimizer)
         s2 = exact_F_string(8, 2, jobs=2)
         assert s2.value == 2
+        s1 = exact_F_string(8, 2)
+        assert (s2.value, s2.minimizer) == (s1.value, s1.minimizer)
         w2 = exact_F_weak(5, jobs=2)
-        assert w2.value == exact_F_weak(5).value
+        w1 = exact_F_weak(5)
+        assert (w2.value, w2.minimizer) == (w1.value, w1.minimizer)
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_string_minimizer_matches_uncapped_scan(self, n):
+        result = exact_F_string(n, 2)
+        assert (result.value, result.minimizer.letters) == full_scan_strings(n, 2)
 
 
 class TestGroundTruthTables:
@@ -268,7 +308,7 @@ class TestGroundTruthTables:
         }
 
     def test_string_binary(self):
-        assert {n: exact_F_string(n, 2).value for n in range(2, 13)} == {
+        assert {n: exact_F_string(n, 2).value for n in range(2, 15)} == {
             2: 0,
             3: 1,
             4: 1,
@@ -280,4 +320,6 @@ class TestGroundTruthTables:
             10: 3,
             11: 4,
             12: 4,
+            13: 5,
+            14: 5,
         }
