@@ -49,7 +49,6 @@ from .core import (
     Verdict,
     extend_twin,
     find_matchable_orientation,
-    get_color,
     is_c_matching,
     read_coloring,
     relabel_palette,

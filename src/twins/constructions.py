@@ -125,8 +125,8 @@ def random_composite_spec(r: int, m: int, seed: int) -> CompositeSpec:
     rng = Rng(seed)
     half = r // 2
     big = r * r
-    x = LetterString(half, tuple(rng.randint(1, half) for _ in range(m)))
-    y = LetterString(big, tuple(rng.randint(1, big) for _ in range(m)))
+    x = LetterString(half, tuple(rng.randints(1, half, m)))
+    y = LetterString(big, tuple(rng.randints(1, big, m)))
     perms = tuple(Permutation(tuple(rng.permutation(half))) for _ in range(big))
     return CompositeSpec(r, x, y, perms)
 
@@ -452,12 +452,12 @@ def random_coloring(n: int, r: int, seed: int) -> EdgeColoring:
     """Uniform r-coloring of K_n; edges drawn in lexicographic pair order."""
     rng = Rng(seed)
     count = n * (n - 1) // 2
-    return EdgeColoring(n, r, tuple(rng.randint(1, r) for _ in range(count)))
+    return EdgeColoring(n, r, tuple(rng.randints(1, r, count)))
 
 
 def random_string(n: int, r: int, seed: int) -> LetterString:
     rng = Rng(seed)
-    return LetterString(r, tuple(rng.randint(1, r) for _ in range(n)))
+    return LetterString(r, tuple(rng.randints(1, r, n)))
 
 
 def random_permutation(n: int, seed: int) -> Permutation:

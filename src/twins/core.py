@@ -76,9 +76,11 @@ class EdgeColoring:
         m = self.n * (self.n - 1) // 2
         if len(self.colors) != m:
             raise ValueError(f"expected {m} edge colors for n={self.n}, got {len(self.colors)}")
-        for col in self.colors:
-            if not 1 <= col <= self.r:
-                raise ValueError(f"color {col} outside palette [1..{self.r}]")
+        colors = self.colors
+        if colors and not (1 <= min(colors) and max(colors) <= self.r):
+            for col in colors:
+                if not 1 <= col <= self.r:
+                    raise ValueError(f"color {col} outside palette [1..{self.r}]")
 
     def color(self, i: int, j: int) -> int:
         n = self.n
@@ -156,11 +158,6 @@ class MatchOrientation:
             raise ValueError(f"left side {self.left} is not a 2-set")
         if len(self.right) != 2 or self.right[0] == self.right[1]:
             raise ValueError(f"right side {self.right} is not a 2-set")
-
-
-def get_color(c: EdgeColoring, i: int, j: int) -> int:
-    """Color of the edge {i, j}; symmetric in i and j."""
-    return c.color(i, j)
 
 
 def validate_twin(c: EdgeColoring, twin: TwinPair) -> Verdict:

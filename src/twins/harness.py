@@ -22,6 +22,7 @@ witness files, and any case can be re-run alone via ``--replay``.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -43,7 +44,7 @@ from .constructions import (
     twin_block_graph,
     uncovered_blocks,
 )
-from .core import EMPTY_TWIN, TwinPair, twin_to_json, validate_twin, write_coloring
+from .core import EMPTY_TWIN, EdgeColoring, TwinPair, twin_to_json, validate_twin, write_coloring
 from .oracle import (
     DEFAULT_MAX_ENUMERATIONS,
     BudgetExceededError,
@@ -103,6 +104,8 @@ class SuiteConfig:
             raise ConfigError("jobs", "must be positive")
         if self.time_limit is not None and self.jobs > 1:
             raise ConfigError("time_limit", "is only honored with jobs=1; the worker pool has no deadline")
+        if self.max_states is not None and self.suite != "twinbound":
+            raise ConfigError("max_states", "is only honored by the twinbound suite")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -282,10 +285,21 @@ def _cases_guarantees(config: SuiteConfig) -> list[dict]:
     return cases
 
 
+@functools.lru_cache(maxsize=1)
+def _sample_coloring(n: int, r: int, seed: int) -> EdgeColoring:
+    """The coloring of one guarantees sample, drawn once for its builder cases.
+
+    For r = 2 the `general` and `binary` cases of a sample share its seed;
+    they run back to back, so a one-entry cache serves the second from the
+    first. `EdgeColoring` is frozen, so sharing it is safe.
+    """
+    return random_coloring(n, r, seed)
+
+
 def _run_guarantees(config: SuiteConfig, case: dict) -> CaseRecord:
     params = case["params"]
     n, r = params["n"], params["r"]
-    coloring = random_coloring(n, r, case["seed"])
+    coloring = _sample_coloring(n, r, case["seed"])
     if params["builder"] == "general":
         twin = build_twin_general(coloring)
         bound = n // (r * r + 1)

@@ -4,7 +4,9 @@ All randomness in this package flows through :class:`Rng` (a splitmix64
 stream) so that every experiment is bit-reproducible from an explicit
 seed, independent of platform and of Python's own ``random`` module.
 Uniform ranges are produced by rejection sampling, so there is no
-modulo bias.
+modulo bias. ``Rng.randints`` draws many values of one range in a single
+loop; it yields exactly the values, and leaves exactly the state, of the
+same number of ``Rng.randint`` calls.
 """
 
 from __future__ import annotations
@@ -59,6 +61,34 @@ class Rng:
         if hi < lo:
             raise ValueError("empty range")
         return lo + self.below(hi - lo + 1)
+
+    def randints(self, lo: int, hi: int, count: int) -> list[int]:
+        """`count` uniform integers in [lo, hi], equal to `count` calls of `randint`.
+
+        One local splitmix64 loop with the rejection limit computed once;
+        the state is written back at the end.
+        """
+        if hi < lo:
+            raise ValueError("empty range")
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        bound = hi - lo + 1
+        span = MASK64 + 1
+        limit = span - (span % bound)
+        state = self._state
+        out = []
+        append = out.append
+        for _ in range(count):
+            while True:
+                state = (state + _GOLDEN) & MASK64
+                z = ((state ^ (state >> 30)) * _MIX1) & MASK64
+                z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+                z ^= z >> 31
+                if z < limit:
+                    break
+            append(lo + z % bound)
+        self._state = state
+        return out
 
     def permutation(self, n: int) -> list[int]:
         """Fisher-Yates shuffle of [1..n]."""

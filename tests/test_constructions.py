@@ -29,7 +29,6 @@ from twins.core import (
     EdgeColoring,
     TwinPair,
     find_matchable_orientation,
-    get_color,
     relabel_palette,
     validate_twin,
 )
@@ -96,8 +95,8 @@ class TestCompositeColoring:
         spec = random_composite_spec(4, 3, seed=9)
         c = composite_coloring(spec)
         x, y = spec.x.letters, spec.y.letters
-        assert get_color(c, 1, 3) == x[0]  # across blocks: global rule
-        assert get_color(c, 1, 2) == 2 + spec.perms[y[0] - 1].values[0]  # within: local
+        assert c.color(1, 3) == x[0]  # across blocks: global rule
+        assert c.color(1, 2) == 2 + spec.perms[y[0] - 1].values[0]  # within: local
 
     def test_color_ranges(self):
         spec = random_composite_spec(4, 4, seed=11)
@@ -105,7 +104,7 @@ class TestCompositeColoring:
         half = spec.half
         for k in range(1, c.n + 1):
             for k2 in range(k + 1, c.n + 1):
-                col = get_color(c, k, k2)
+                col = c.color(k, k2)
                 if composite_block(k, half) < composite_block(k2, half):
                     assert 1 <= col <= half
                 else:
@@ -188,8 +187,8 @@ class TestBlockProfiles:
     def test_block_coloring_colors(self):
         profile = BlockProfile(1, LetterString(1, (1, 1)))
         c = block_coloring(profile)
-        assert get_color(c, 1, 2) == 1
-        assert get_color(c, 3, 4) == 2
+        assert c.color(1, 2) == 1
+        assert c.color(3, 4) == 2
 
     def test_single_block_monochromatic(self):
         profile = BlockProfile(1, LetterString(1, (1,)))

@@ -12,7 +12,6 @@ from twins.core import (
     check_index_lists,
     extend_twin,
     find_matchable_orientation,
-    get_color,
     is_c_matching,
     read_coloring,
     relabel_palette,
@@ -36,24 +35,34 @@ RAINBOW_K4 = EdgeColoring(4, 6, (1, 2, 3, 4, 5, 6))
 class TestGetColor:
     def test_monochromatic(self):
         c = EdgeColoring.monochromatic(5)
-        assert get_color(c, 2, 4) == 1
+        assert c.color(2, 4) == 1
 
     def test_symmetric_lookup(self):
         c = explicit_coloring(3, 2, {(1, 2): 2, (1, 3): 1, (2, 3): 1})
-        assert get_color(c, 2, 1) == 2
-        assert get_color(c, 1, 2) == 2
+        assert c.color(2, 1) == 2
+        assert c.color(1, 2) == 2
 
     def test_loop_rejected(self):
         c = EdgeColoring.monochromatic(4)
         with pytest.raises(ValueError):
-            get_color(c, 3, 3)
+            c.color(3, 3)
 
     def test_out_of_range_rejected(self):
         c = EdgeColoring.monochromatic(4)
         with pytest.raises(ValueError):
-            get_color(c, 0, 2)
+            c.color(0, 2)
         with pytest.raises(ValueError):
-            get_color(c, 1, 5)
+            c.color(1, 5)
+
+
+class TestPalette:
+    @pytest.mark.parametrize("colors, bad", [((1, 3, 0), 3), ((1, 0, 3), 0), ((2, 2, -1), -1)])
+    def test_first_color_outside_palette_named(self, colors, bad):
+        with pytest.raises(ValueError, match=rf"^color {bad} outside palette \[1\.\.2\]$"):
+            EdgeColoring(3, 2, colors)
+
+    def test_empty_coloring_accepted(self):
+        assert EdgeColoring(1, 2, ()).colors == ()
 
 
 class TestValidateTwin:

@@ -61,6 +61,13 @@ class TestConfig:
             run_suite(config)
         assert err.value.field_name == "time_limit"
 
+    @pytest.mark.parametrize("suite", ["guarantees", "tables", "lcs-tail", "blockclaims"])
+    def test_max_states_rejected_where_ignored(self, suite):
+        config = tiny_config(suite, max_states=10)
+        with pytest.raises(ConfigError) as err:
+            run_suite(config)
+        assert err.value.field_name == "max_states"
+
     def test_json_file_roundtrip(self, tmp_path):
         config = tiny_config("twinbound")
         path = tmp_path / "cfg.json"
@@ -126,6 +133,24 @@ class TestReports:
         # single-element permutations always have LCS 1 <= 3*sqrt(1)
         report = run_suite(SuiteConfig("lcs-tail", [{"r": 1}], samples=3, seed=7))
         assert [c.value for c in report.cases] == [1, 1, 1]
+
+
+class TestGuaranteesSuite:
+    def test_binary_case_replays_alone(self, tmp_path):
+        report = run_suite(tiny_config("guarantees", out_dir=str(tmp_path)))
+        binary = [c for c in report.cases if c.params["builder"] == "binary"]
+        assert len(binary) == 5
+        # The first sample's coloring is no longer the last one drawn.
+        target = binary[0]
+        replayed = replay_case(str(tmp_path / "guarantees_report.json"), target.case_id)
+        assert replayed == target
+
+    def test_pool_matches_serial(self):
+        serial = json.loads(run_suite(tiny_config("guarantees")).to_json_text())
+        pooled = json.loads(run_suite(tiny_config("guarantees", jobs=2)).to_json_text())
+        serial["config"].pop("jobs")
+        pooled["config"].pop("jobs")
+        assert serial == pooled
 
 
 class TestBlockclaimsSuite:

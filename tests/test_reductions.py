@@ -3,7 +3,7 @@ from itertools import permutations, product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twins.core import TwinPair, get_color, validate_twin
+from twins.core import TwinPair, validate_twin
 from twins.oracle import enumerate_twins, max_string_twin, max_twin, max_weak_twin
 from twins.reductions import coloring_from_permutation, coloring_from_string
 from twins.sequences import (
@@ -19,9 +19,9 @@ import pytest
 class TestPermutationReduction:
     def test_explicit_colors(self):
         c = coloring_from_permutation(Permutation((2, 1, 3)))
-        assert get_color(c, 1, 2) == 2
-        assert get_color(c, 1, 3) == 1
-        assert get_color(c, 2, 3) == 1
+        assert c.color(1, 2) == 2
+        assert c.color(1, 3) == 1
+        assert c.color(2, 3) == 1
 
     def test_identity_monochromatic(self):
         c = coloring_from_permutation(Permutation((1, 2, 3, 4)))
@@ -65,10 +65,10 @@ class TestStringReduction:
     def test_explicit_colors(self):
         c = coloring_from_string(LetterString(2, (1, 2, 1, 2)))
         for j in (2, 3, 4):
-            assert get_color(c, 1, j) == 1
+            assert c.color(1, j) == 1
         for j in (3, 4):
-            assert get_color(c, 2, j) == 2
-        assert get_color(c, 3, 4) == 1
+            assert c.color(2, j) == 2
+        assert c.color(3, 4) == 1
 
     def test_constant_monochromatic(self):
         c = coloring_from_string(LetterString(1, (1, 1, 1)))
