@@ -11,17 +11,18 @@ complete description of the remaining search. The compressed engine is
 validated against the plain one by the test and acceptance suites.
 
 Extremal tables (minimum over all colorings / strings / permutations)
-enumerate their spaces in a fixed order under an explicit enumeration
-budget; per-instance searches are capped at the running minimum, which
-keeps the scans exact while skipping no instance. Colorings and
-permutations are decided by the capped synchronized-pair search, strings
-by a capped form of the string-twin scan. Enumeration ranges can be
-sharded across a process pool.
+walk their spaces depth first in a fixed order, one coordinate per
+level, under an explicit enumeration budget. All three twin notions are
+hereditary, so once a prefix holds a twin of the running minimum its
+whole subtree is skipped; prefixes are decided by the capped
+synchronized-pair search or the capped string scan, and each shard's
+first instance by the exact engine. Index ranges can be sharded across
+a process pool.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -460,15 +461,13 @@ def enumerate_twins(
 
 @dataclass
 class ExtremalResult:
-    """Minimum value over the enumerated space, with a first minimizer."""
+    """Minimum value over the enumerated space, with a first minimizer;
+    `decided` counts the engine and capped-kernel runs over all shards."""
 
     value: int
     minimizer: object
     enumerated: int
-
-
-def _edge_count(n: int) -> int:
-    return n * (n - 1) // 2
+    decided: int = 0
 
 
 def _check_budget(what: str, total: int, max_enumerations: int) -> None:
@@ -476,106 +475,105 @@ def _check_budget(what: str, total: int, max_enumerations: int) -> None:
         raise BudgetExceededError(what, total, max_enumerations)
 
 
-def _iter_base_counter(width: int, radix: int, start: int, stop: int) -> Iterator[list[int]]:
-    """Digits (0-based) of base-`radix` counters in [start, stop); the last
-    digit is least significant. The same list object is yielded each time."""
-    digits = [0] * width
-    idx = start
-    for slot in range(width - 1, -1, -1):
-        idx, rem = divmod(idx, radix)
-        digits[slot] = rem
-    count = stop - start
-    yielded = 0
-    while yielded < count:
-        yield digits
-        yielded += 1
-        if yielded == count:
-            break
-        slot = width - 1
-        while True:
-            digits[slot] += 1
-            if digits[slot] < radix:
-                break
-            digits[slot] = 0
-            slot -= 1
+def _walk(sizes, options, fix, lag, start, stop, exact, capped, pattern=None):
+    """(value, index, instance, decided) of the minimum over instances
+    [start, stop) of a scan space, walked depth first.
+
+    A node with k coordinates fixed covers sizes[k] consecutive indices;
+    its children fix coordinate k + 1 (1-based) to each of options(k) in
+    turn by fix(k + 1, v), and fix(k + 1, 0) unfixes it, so leaves come in
+    index order. The first instance is decided by exact(instance). After
+    it, a node whose prefix can hold a twin of the running minimum (k >=
+    2*best - lag) is decided by capped(k, best) = min(max twin of the
+    prefix, best): twins are hereditary, so if that reaches best no
+    completion is a new minimizer and the subtree is skipped, and at a
+    leaf a value below best is exact. With `pattern`, capped values are
+    memoized by pattern(k); the cap only falls, so a stored value either
+    still reaches it or is exact.
+    """
+    depth = len(sizes) - 1
+    chosen = [0] * depth
+    memo: dict = {}
+    best = None
+    best_idx, best_inst, decided = start, (), 0
+
+    def rec(k: int, lo: int) -> None:
+        nonlocal best, best_idx, best_inst, decided
+        size = sizes[k + 1]
+        skip = max(0, (start - lo) // size)
+        for at, v in zip(range(lo + skip * size, stop, size), options(k)[skip:]):
+            fix(k + 1, v)
+            chosen[k] = v
+            if k + 1 == depth or (best is not None and k + 1 >= 2 * best - lag):
+                key = pattern(k + 1) if pattern else None
+                value = memo.get(key)
+                if value is None:
+                    decided += 1
+                    value = exact(tuple(chosen)) if best is None else capped(k + 1, best)
+                    if key is not None:
+                        memo[key] = value
+                if best is not None and value >= best:
+                    continue
+                if k + 1 == depth:
+                    best, best_idx, best_inst = value, at, tuple(chosen)
+                    continue
+            rec(k + 1, at)
+        fix(k + 1, 0)
+
+    rec(0, 0)
+    return best, best_idx, best_inst, decided
 
 
-def _matrix_from_digits(n: int, digits: list[int], mat: list[list[int]]) -> None:
-    pos = 0
-    for i in range(1, n + 1):
-        row = mat[i]
-        for j in range(i + 1, n + 1):
-            col = digits[pos] + 1
-            pos += 1
-            row[j] = col
-            mat[j][i] = col
-
-
-def _scan_colorings(args) -> tuple[int, int, tuple[int, ...]]:
+def _scan_colorings(args) -> tuple[int, int, tuple[int, ...], int]:
     n, r, start, stop = args
+    edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     mat = [[0] * (n + 1) for _ in range(n + 1)]
+
+    def fix(k: int, color: int) -> None:
+        # An unfixed edge holds its own negative sentinel, so it matches nothing.
+        i, j = edges[k - 1]
+        mat[i][j] = mat[j][i] = color or -k
 
     def step(a: int, p: int, b: int, q: int) -> bool:
         return mat[a][p] == mat[b][q]
 
-    best: int | None = None
-    best_idx = start
-    best_colors: tuple[int, ...] = ()
-    for offset, digits in enumerate(_iter_base_counter(_edge_count(n), r, start, stop)):
-        _matrix_from_digits(n, digits, mat)
-        if best is None:
-            value, _ = max_twin(EdgeColoring(n, r, tuple(d + 1 for d in digits)))
-        else:
-            value = _capped_max(n, step, best)
-        if best is None or value < best:
-            best = value
-            best_idx = start + offset
-            best_colors = tuple(d + 1 for d in digits)
-    assert best is not None
-    return best, best_idx, best_colors
+    for k in range(1, len(edges) + 1):
+        fix(k, 0)
+    palette = list(range(1, r + 1))
+    sizes = [r ** (len(edges) - k) for k in range(len(edges) + 1)]
+    return _walk(
+        sizes, lambda k: palette, fix, 2, start, stop,
+        exact=lambda colors: max_twin(EdgeColoring(n, r, colors))[0],
+        capped=lambda k, cap: _capped_max(n, step, cap),
+    )
 
 
-def _scan_permutations(args) -> tuple[int, int, tuple[int, ...]]:
+def _scan_permutations(args) -> tuple[int, int, tuple[int, ...], int]:
     n, start, stop = args
-    best: int | None = None
-    best_idx = start
-    best_values: tuple[int, ...] = ()
-    perms = itertools.islice(itertools.permutations(range(1, n + 1)), start, stop)
-    for offset, values in enumerate(perms):
-        vals = (0,) + values
+    vals = [0] * (n + 1)
 
-        def step(a: int, p: int, b: int, q: int) -> bool:
-            return (vals[a] < vals[p]) == (vals[b] < vals[q])
+    def step(a: int, p: int, b: int, q: int) -> bool:
+        return (vals[a] < vals[p]) == (vals[b] < vals[q])
 
-        if best is None:
-            value, _ = max_weak_twin(Permutation(values))
-        else:
-            value = _capped_max(n, step, best)
-        if best is None or value < best:
-            best = value
-            best_idx = start + offset
-            best_values = values
-    assert best is not None
-    return best, best_idx, best_values
+    sizes = [math.factorial(n - k) for k in range(n + 1)]
+    return _walk(
+        sizes, lambda k: [v for v in range(1, n + 1) if v not in vals[1 : k + 1]],
+        vals.__setitem__, 0, start, stop,
+        exact=lambda values: max_weak_twin(Permutation(values))[0],
+        capped=lambda k, cap: _capped_max(k, step, cap),
+        pattern=lambda k: tuple(sorted(range(1, k + 1), key=vals.__getitem__)),
+    )
 
 
-def _scan_strings(args) -> tuple[int, int, tuple[int, ...]]:
+def _scan_strings(args) -> tuple[int, int, tuple[int, ...], int]:
     n, r, start, stop = args
-    best: int | None = None
-    best_idx = start
-    best_letters: tuple[int, ...] = ()
-    for offset, digits in enumerate(_iter_base_counter(n, r, start, stop)):
-        letters = tuple(d + 1 for d in digits)
-        if best is None:
-            value, _ = max_string_twin(LetterString(r, letters))
-        else:
-            value = _capped_string_max(letters, best)
-        if best is None or value < best:
-            best = value
-            best_idx = start + offset
-            best_letters = letters
-    assert best is not None
-    return best, best_idx, best_letters
+    letters = [0] * (n + 1)
+    palette = list(range(1, r + 1))
+    return _walk(
+        [r ** (n - k) for k in range(n + 1)], lambda k: palette, letters.__setitem__, 0, start, stop,
+        exact=lambda x: max_string_twin(LetterString(r, x))[0],
+        capped=lambda k, cap: _capped_string_max(tuple(letters[1 : k + 1]), cap),
+    )
 
 
 def _run_shards(worker, arg_sets, jobs: int):
@@ -590,13 +588,16 @@ def _run_shards(worker, arg_sets, jobs: int):
 def _shard_ranges(total: int, jobs: int) -> list[tuple[int, int]]:
     shards = max(1, min(jobs, total))
     span, extra = divmod(total, shards)
-    ranges = []
-    lo = 0
-    for s in range(shards):
-        hi = lo + span + (1 if s < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
+    bounds = [s * span + min(s, extra) for s in range(shards + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _scan(worker, head: tuple, total: int, jobs: int) -> tuple[int, tuple[int, ...], int]:
+    """(minimum, first minimizer, decisions) of a space sharded over `jobs`."""
+    shards = [head + bounds for bounds in _shard_ranges(total, jobs)]
+    results = _run_shards(worker, shards, jobs)
+    value, _, instance, _ = min(results, key=lambda t: (t[0], t[1]))
+    return value, instance, sum(t[3] for t in results)
 
 
 def exact_F(
@@ -608,21 +609,19 @@ def exact_F(
     """Minimum of max_twin over all r-colorings of K_n, with a first minimizer.
 
     Enumerates colorings as base-r counters over the upper-triangular edge
-    list. Per-coloring searches are capped at the running minimum, which
-    cannot change the result: a search stopped at the cap only certifies
-    the coloring is not a new minimizer. At the default budget, r=2
-    reaches n=7 and r=3 reaches n=5 (counted in enumerations).
+    list, walked one edge per level; a prefix coloring whose fixed edges
+    already hold a twin of the running minimum has its subtree skipped
+    (see _walk). At the default budget, r=2 reaches n=7 and r=3 reaches
+    n=5 (counted in enumerations).
     """
     if n < 1 or r < 1:
         raise ValueError("n and r must be positive")
     if n < 2:
         return ExtremalResult(0, EdgeColoring(n, r, ()), 1)
-    total = r ** _edge_count(n)
+    total = r ** (n * (n - 1) // 2)
     _check_budget("coloring enumeration", total, max_enumerations)
-    shards = [(n, r, lo, hi) for lo, hi in _shard_ranges(total, jobs)]
-    results = _run_shards(_scan_colorings, shards, jobs)
-    value, _, colors = min(results, key=lambda t: (t[0], t[1]))
-    return ExtremalResult(value, EdgeColoring(n, r, colors), total)
+    value, colors, decided = _scan(_scan_colorings, (n, r), total, jobs)
+    return ExtremalResult(value, EdgeColoring(n, r, colors), total, decided)
 
 
 def exact_F_weak(
@@ -630,17 +629,14 @@ def exact_F_weak(
     max_enumerations: int = DEFAULT_MAX_ENUMERATIONS,
     jobs: int = 1,
 ) -> ExtremalResult:
-    """Minimum of max_weak_twin over S_n (n <= 9 at the default budget)."""
+    """Minimum of max_weak_twin over S_n (n <= 9 at the default budget),
+    walked in lexicographic order with prefix decisions memoized by pattern."""
     if n < 1:
         raise ValueError("n must be positive")
-    total = 1
-    for t in range(2, n + 1):
-        total *= t
+    total = math.factorial(n)
     _check_budget("permutation enumeration", total, max_enumerations)
-    shards = [(n, lo, hi) for lo, hi in _shard_ranges(total, jobs)]
-    results = _run_shards(_scan_permutations, shards, jobs)
-    value, _, values = min(results, key=lambda t: (t[0], t[1]))
-    return ExtremalResult(value, Permutation(values), total)
+    value, values, decided = _scan(_scan_permutations, (n,), total, jobs)
+    return ExtremalResult(value, Permutation(values), total, decided)
 
 
 def exact_F_string(
@@ -651,16 +647,13 @@ def exact_F_string(
 ) -> ExtremalResult:
     """Minimum of max_string_twin over [r]^n (r=2 reaches n=21 at the default budget).
 
-    Each shard runs max_string_twin on its first string and decides every
-    later one with the scan capped at the running minimum, which cannot
-    change the result or the first minimizer: a capped scan only certifies
-    that the string is not a new minimizer.
+    Walks [r]^n in counter order one position per level; a prefix that
+    already holds a string twin of the running minimum has its subtree
+    skipped, decided by the string scan capped at that minimum.
     """
     if n < 1 or r < 1:
         raise ValueError("n and r must be positive")
     total = r**n
     _check_budget("string enumeration", total, max_enumerations)
-    shards = [(n, r, lo, hi) for lo, hi in _shard_ranges(total, jobs)]
-    results = _run_shards(_scan_strings, shards, jobs)
-    value, _, letters = min(results, key=lambda t: (t[0], t[1]))
-    return ExtremalResult(value, LetterString(r, letters), total)
+    value, letters, decided = _scan(_scan_strings, (n, r), total, jobs)
+    return ExtremalResult(value, LetterString(r, letters), total, decided)

@@ -11,12 +11,12 @@ functions and evaluate everything else element by element, twin by twin
 or instance by instance.
 """
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from twins.constructions import block_coloring, twin_block_graph, uncovered_blocks
-from twins.core import EMPTY_TWIN, VALID, TwinPair, Verdict
-from twins.oracle import enumerate_twins, max_string_twin
-from twins.sequences import LetterString
+from twins.core import EMPTY_TWIN, VALID, EdgeColoring, TwinPair, Verdict
+from twins.oracle import enumerate_twins, max_string_twin, max_twin, max_weak_twin
+from twins.sequences import LetterString, Permutation
 
 
 def _all_disjoint_pairs(n, size):
@@ -166,13 +166,31 @@ def per_twin_block_claims(profile, max_twins):
     return count, violations, False
 
 
+def full_scan_colorings(n, r):
+    """`exact_F`'s space without pruning: (colors, max_twin) for every
+    r-coloring of K_n in counter order (last edge fastest)."""
+    return [
+        (colors, max_twin(EdgeColoring(n, r, colors))[0])
+        for colors in product(range(1, r + 1), repeat=n * (n - 1) // 2)
+    ]
+
+
+def full_scan_permutations(n):
+    """`exact_F_weak`'s space without pruning: (values, max_weak_twin) for
+    every permutation of [n] in lexicographic order."""
+    return [(values, max_weak_twin(Permutation(values))[0]) for values in permutations(range(1, n + 1))]
+
+
 def full_scan_strings(n, r):
-    """`exact_F_string` without its cap: the exact maximizer on every string
-    of [r]^n in counter order (last letter fastest); returns the minimum
-    and its first minimizer's letters."""
-    best = None
-    for letters in product(range(1, r + 1), repeat=n):
-        value = max_string_twin(LetterString(r, letters))[0]
-        if best is None or value < best[0]:
-            best = (value, letters)
-    return best
+    """`exact_F_string`'s space without pruning: (letters, max_string_twin)
+    for every string of [r]^n in counter order (last letter fastest)."""
+    return [
+        (letters, max_string_twin(LetterString(r, letters))[0])
+        for letters in product(range(1, r + 1), repeat=n)
+    ]
+
+
+def first_minimum(scan, lo=0, hi=None):
+    """(value, index, instance) of the first minimum of scan[lo:hi]."""
+    index = min(range(lo, len(scan) if hi is None else hi), key=lambda i: scan[i][1])
+    return scan[index][1], index, scan[index][0]

@@ -9,6 +9,9 @@ from brute_oracles import (
     brute_max_string_twin,
     brute_max_twin,
     brute_max_weak_twin,
+    first_minimum,
+    full_scan_colorings,
+    full_scan_permutations,
     full_scan_strings,
 )
 from twins.constructions import random_coloring, random_permutation, random_string
@@ -16,6 +19,10 @@ from twins.core import EdgeColoring, relabel_palette, validate_twin
 from twins.oracle import (
     BudgetExceededError,
     _capped_string_max,
+    _scan_colorings,
+    _scan_permutations,
+    _scan_strings,
+    _shard_ranges,
     enumerate_twins,
     exact_F,
     exact_F_string,
@@ -282,7 +289,52 @@ class TestExactTables:
     @pytest.mark.parametrize("n", range(1, 12))
     def test_string_minimizer_matches_uncapped_scan(self, n):
         result = exact_F_string(n, 2)
-        assert (result.value, result.minimizer.letters) == full_scan_strings(n, 2)
+        value, _, letters = first_minimum(full_scan_strings(n, 2))
+        assert (result.value, result.minimizer.letters) == (value, letters)
+
+
+SCANS = {
+    "coloring": (_scan_colorings, full_scan_colorings),
+    "weak": (_scan_permutations, full_scan_permutations),
+    "string": (_scan_strings, full_scan_strings),
+}
+SCAN_SPACES = (
+    [("coloring", (n, 2)) for n in range(2, 6)]
+    + [("coloring", (n, 3)) for n in range(2, 5)]
+    + [("coloring", (n, 1)) for n in range(2, 7)]
+    + [("weak", (n,)) for n in range(1, 8)]
+    + [("string", (n, 2)) for n in range(1, 12)]
+    + [("string", (n, 3)) for n in range(1, 7)]
+)
+
+
+class TestShardedScans:
+    """The pruned walk of every shard range against the unpruned scan of it."""
+
+    @pytest.mark.parametrize("kind,args", SCAN_SPACES)
+    def test_every_shard_range(self, kind, args):
+        worker, full_scan = SCANS[kind]
+        scan = full_scan(*args)
+        for jobs in range(1, 8):
+            for lo, hi in _shard_ranges(len(scan), jobs):
+                assert worker(args + (lo, hi))[:3] == first_minimum(scan, lo, hi), (jobs, lo, hi)
+
+
+class TestDecided:
+    """`decided` counts engine and capped-kernel runs, not instances."""
+
+    def test_pinned(self):
+        assert exact_F(5, 2).decided == 94
+        assert exact_F_weak(7).decided == 250
+        assert exact_F_string(10, 2).decided == 319
+
+    def test_prefixes_settle_most_instances(self):
+        for result in (exact_F(6, 2), exact_F_weak(8), exact_F_string(13, 2)):
+            assert result.decided < result.enumerated / 2, result
+
+    def test_sharded_runs_sum_their_shards(self):
+        shards = [_scan_strings((10, 2, lo, hi)) for lo, hi in _shard_ranges(2**10, 3)]
+        assert exact_F_string(10, 2, jobs=3).decided == sum(s[3] for s in shards)
 
 
 class TestGroundTruthTables:
@@ -296,6 +348,18 @@ class TestGroundTruthTables:
             5: 2,
             6: 2,
         }
+
+    def test_coloring_7(self):
+        # value and first minimizer as found by the unpruned per-instance scan
+        result = exact_F(7, 2)
+        colors = (1, 1, 1, 1, 1, 1, 2, 2, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1)
+        assert (result.value, result.minimizer.colors) == (2, colors)
+
+    def test_weak_8_and_9(self):
+        # values and first minimizers as found by the unpruned per-instance scan
+        w8, w9 = exact_F_weak(8), exact_F_weak(9)
+        assert (w8.value, w8.minimizer.values) == (3, (1, 2, 3, 4, 5, 8, 7, 6))
+        assert (w9.value, w9.minimizer.values) == (3, (1, 2, 3, 8, 7, 6, 5, 4, 9))
 
     def test_weak(self):
         assert {n: exact_F_weak(n).value for n in range(2, 8)} == {
