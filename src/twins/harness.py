@@ -832,29 +832,3 @@ def replay_case(report_path: str, case_id: str) -> CaseRecord:
     config.out_dir = None
     report = run_suite(config, only_case=case_id)
     return report.cases[0]
-
-
-def cmd_guarantees(config: SuiteConfig) -> RunReport:
-    return _cmd(config, "guarantees")
-
-
-def cmd_tables(config: SuiteConfig) -> RunReport:
-    return _cmd(config, "tables")
-
-
-def cmd_twinbound(config: SuiteConfig) -> RunReport:
-    return _cmd(config, "twinbound")
-
-
-def cmd_lcs_tail(config: SuiteConfig) -> RunReport:
-    return _cmd(config, "lcs-tail")
-
-
-def cmd_blockclaims(config: SuiteConfig) -> RunReport:
-    return _cmd(config, "blockclaims")
-
-
-def _cmd(config: SuiteConfig, expected: str) -> RunReport:
-    if config.suite != expected:
-        raise ConfigError("suite", f"expected {expected!r}, got {config.suite!r}")
-    return run_suite(config)

@@ -1,23 +1,24 @@
 """Exact maximum-twin search and exhaustive extremal tables.
 
-Two engines compute the maximum twin size of a coloring. The *plain*
-engine is a memoized recursion keyed by (used-index set, last pair) —
-simple and exponential, it is the correctness oracle. The *compressed*
-engine keys its memo by the two chain ends plus only the used indices
-strictly between them: a fresh pick for the trailing chain can only
-collide with leading-chain indices inside that window (everything else
-used lies at or below the trailing end), so the compressed state is a
-complete description of the remaining search. The compressed engine is
-validated against the plain one by the test and acceptance suites.
+Colorings and permutations are maximized by one synchronized-pair search
+core, the *compressed* engine `_compressed_max`. Its memo keys a state by
+the smaller chain end and the used indices from it up: a fresh pick for
+the trailing chain can only collide with those (everything else used lies
+below it), so the key is a complete description of the remaining search.
+An optional cap ends the whole search once a twin of that size is found,
+so every stored value stays exact. The *plain* engine, keyed by the whole
+used-index set and both ends, is simple and exponential: it is the
+correctness oracle, checked against the core by the test and acceptance
+suites. Both engines share one witness replay, `_replay`.
 
 Extremal tables (minimum over all colorings / strings / permutations)
 walk their spaces depth first in a fixed order, one coordinate per
 level, under an explicit enumeration budget. All three twin notions are
 hereditary, so once a prefix holds a twin of the running minimum its
-whole subtree is skipped; prefixes are decided by the capped
-synchronized-pair search or the capped string scan, and each shard's
-first instance by the exact engine. Index ranges can be sharded across
-a process pool.
+whole subtree is skipped. Prefixes are decided by the capped core or the
+capped string scan at that minimum, and each shard's first instance by
+the same kernel at a cap no twin reaches. Index ranges can be sharded
+across a process pool.
 """
 
 from __future__ import annotations
@@ -63,10 +64,12 @@ def _always(i: int, j: int) -> bool:
 
 def _plain_search(
     n: int, step: StepPredicate, start: StartPredicate = _always
-) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
-    if n < 2:
-        return 0, ((), ())
+) -> tuple[int, tuple[int, int] | None, dict]:
+    """(size, start pair, memo) of a memoized recursion keyed by (used-index
+    mask, a, b): simple and exponential, the correctness oracle."""
     memo: dict = {}
+    if n < 2:
+        return 0, None, memo
 
     def rec(mask: int, a: int, b: int) -> int:
         key = (mask, a, b)
@@ -98,75 +101,53 @@ def _plain_search(
                 v = 1 + rec(ibit | (1 << j), i, j)
                 if v > best_size:
                     best_size, best_start = v, (i, j)
-    if best_start is None:
-        return 0, ((), ())
-
-    chain1 = [best_start[0]]
-    chain2 = [best_start[1]]
-    mask = (1 << chain1[0]) | (1 << chain2[0])
-    remaining = best_size - 1
-    while remaining > 0:
-        a, b = chain1[-1], chain2[-1]
-        found = False
-        for p in range(a + 1, n + 1):
-            if mask >> p & 1:
-                continue
-            for q in range(b + 1, n + 1):
-                if q == p or mask >> q & 1:
-                    continue
-                if not step(a, p, b, q):
-                    continue
-                lo, hi = (p, q) if p < q else (q, p)
-                if memo.get((mask | (1 << p) | (1 << q), lo, hi)) == remaining - 1:
-                    chain1.append(p)
-                    chain2.append(q)
-                    mask |= (1 << p) | (1 << q)
-                    remaining -= 1
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            raise RuntimeError("plain-engine witness replay failed")
-    return best_size, (tuple(chain1), tuple(chain2))
+    return best_size, best_start, memo
 
 
-def _compressed_search(
+def _compressed_max(
     n: int,
     step: StepPredicate,
+    cap: int | None = None,
     start: StartPredicate = _always,
     max_states: int | None = None,
-) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
-    if n < 2:
-        return 0, ((), ())
-    memo: dict = {}
+) -> tuple[int, tuple[int, int] | None, dict]:
+    """(min(max twin size, cap), start pair, memo) of the compressed engine.
 
-    def rec(a: int, b: int, window: tuple[int, ...]) -> int:
-        # a < b; window = used indices strictly between a and b (they all
-        # belong to the chain ending at b, and are the only indices a
-        # fresh pick for the a-chain can still collide with).
-        key = (a, b, window)
+    A state is the chain ends a < b and the mask of used indices, all of
+    them <= b; only those from a up can collide with a fresh pick, so the
+    memo key is (a, mask >> a). With a cap, a branch returns as soon as
+    its size reaches the cap, without memoizing that lower bound: every
+    caller up the stack returns at once too, so every stored value is exact.
+    """
+    memo: dict = {}
+    limit = n if cap is None else cap
+    if n < 2 or limit <= 0:
+        return 0, None, memo
+
+    def rec(a: int, b: int, mask: int, size: int) -> int:
+        if size >= limit:
+            return 0
+        key = (a, mask >> a)
         cached = memo.get(key)
         if cached is not None:
             return cached
         if max_states is not None and len(memo) >= max_states:
             raise BudgetExceededError("search states", len(memo) + 1, max_states)
         best = 0
-        wset = set(window)
         for p in range(a + 1, n + 1):
-            if p == b or p in wset:
+            if mask >> p & 1:
                 continue
+            pmask = mask | 1 << p
             for q in range(b + 1, n + 1):
-                if q == p:
-                    continue
-                if step(a, p, b, q):
-                    lo, hi = (p, q) if p < q else (q, p)
-                    nw = tuple(w for w in window if w > lo)
-                    if lo < b:
-                        nw += (b,)
-                    v = 1 + rec(lo, hi, nw)
+                if q != p and step(a, p, b, q):
+                    if p < q:
+                        v = 1 + rec(p, q, pmask | 1 << q, size + 1)
+                    else:
+                        v = 1 + rec(q, p, pmask | 1 << q, size + 1)
                     if v > best:
                         best = v
+                        if size + v >= limit:
+                            return v
         memo[key] = best
         return best
 
@@ -175,82 +156,62 @@ def _compressed_search(
     for i in range(1, n):
         for j in range(i + 1, n + 1):
             if start(i, j):
-                v = 1 + rec(i, j, ())
+                v = 1 + rec(i, j, 1 << i | 1 << j, 1)
                 if v > best_size:
                     best_size, best_start = v, (i, j)
-    if best_start is None:
-        return 0, ((), ())
+                    if v >= limit:
+                        return limit, best_start, memo
+    return best_size, best_start, memo
 
-    chain1 = [best_start[0]]
-    chain2 = [best_start[1]]
-    used = {chain1[0], chain2[0]}
-    remaining = best_size - 1
-    while remaining > 0:
+
+def _replay(
+    n: int,
+    step: StepPredicate,
+    size: int,
+    start_pair: tuple[int, int] | None,
+    value: Callable[[int, int, int], int | None],
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A witness of a memoized search: from the best start, take at each
+    step the first extension in search order whose state (used-index
+    mask, lo, hi) the memo values at the size still to go."""
+    if not size:
+        return (), ()
+    chain1, chain2 = [start_pair[0]], [start_pair[1]]
+    mask = 1 << start_pair[0] | 1 << start_pair[1]
+    for remaining in range(size - 2, -1, -1):
         a, b = chain1[-1], chain2[-1]
-        found = False
-        for p in range(a + 1, n + 1):
-            if p in used:
-                continue
-            for q in range(b + 1, n + 1):
-                if q == p or q in used:
-                    continue
-                if not step(a, p, b, q):
-                    continue
-                lo, hi = (p, q) if p < q else (q, p)
-                nw = tuple(w for w in sorted(used) if w > lo)
-                if memo.get((lo, hi, nw)) == remaining - 1:
-                    chain1.append(p)
-                    chain2.append(q)
-                    used.update((p, q))
-                    remaining -= 1
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            raise RuntimeError("compressed-engine witness replay failed")
-    return best_size, (tuple(chain1), tuple(chain2))
+        p, q = next(
+            (
+                (p, q)
+                for p in range(a + 1, n + 1)
+                if not mask >> p & 1
+                for q in range(b + 1, n + 1)
+                if q != p
+                and not mask >> q & 1
+                and step(a, p, b, q)
+                and value(mask | 1 << p | 1 << q, min(p, q), max(p, q)) == remaining
+            ),
+            (0, 0),
+        )
+        if not p:
+            raise RuntimeError("witness replay failed")
+        chain1.append(p)
+        chain2.append(q)
+        mask |= 1 << p | 1 << q
+    return tuple(chain1), tuple(chain2)
 
 
-def _capped_max(
-    n: int, step: StepPredicate, cap: int, start: StartPredicate = _always
-) -> int:
-    """min(max twin size, cap): depth-first with a max-end bound, no memo.
-
-    Each extension pushes the larger chain end strictly upward, so at most
-    n - max_end extensions remain; branches that cannot beat the current
-    best are pruned, and the whole search stops once `cap` is reached.
-    """
-    if n < 2 or cap <= 0:
-        return 0
-    best = 0
-
-    def dfs(a: int, b: int, mask: int, size: int) -> bool:
-        nonlocal best
-        if size > best:
-            best = size
-            if best >= cap:
-                return True
-        if size + (n - b) <= best:
-            return False
-        for p in range(a + 1, n + 1):
-            if mask >> p & 1:
-                continue
-            pbit = 1 << p
-            for q in range(b + 1, n + 1):
-                if q == p or mask >> q & 1:
-                    continue
-                if step(a, p, b, q):
-                    lo, hi = (p, q) if p < q else (q, p)
-                    if dfs(lo, hi, mask | pbit | (1 << q), size + 1):
-                        return True
-        return False
-
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            if start(i, j) and dfs(i, j, (1 << i) | (1 << j), 1):
-                return best
-    return best
+def _maximize(
+    n: int, step: StepPredicate, engine: str, max_states: int | None = None
+) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Exact maximum twin size under `step` with a witness, by either engine."""
+    if engine == "plain":
+        size, pair, memo = _plain_search(n, step)
+        return size, _replay(n, step, size, pair, lambda mask, lo, hi: memo.get((mask, lo, hi)))
+    if engine == "compressed":
+        size, pair, memo = _compressed_max(n, step, max_states=max_states)
+        return size, _replay(n, step, size, pair, lambda mask, lo, hi: memo.get((lo, mask >> lo)))
+    raise ValueError(f"unknown engine {engine!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +236,7 @@ def max_twin(
     The plain engine is practical to roughly n <= 16; the compressed
     engine reaches somewhat further. Returns (0, empty twin) for n < 2.
     """
-    step = _coloring_step(c)
-    if engine == "plain":
-        size, (first, second) = _plain_search(c.n, step)
-    elif engine == "compressed":
-        size, (first, second) = _compressed_search(c.n, step, max_states=max_states)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    size, (first, second) = _maximize(c.n, _coloring_step(c), engine, max_states)
     return size, (TwinPair(first, second) if size else EMPTY_TWIN)
 
 
@@ -298,12 +253,7 @@ def max_weak_twin(
     pi: Permutation, engine: str = "compressed"
 ) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
     """Exact maximum weak-twin size, comparing permutation values directly."""
-    step = _weak_step(pi)
-    if engine == "plain":
-        return _plain_search(pi.n, step)
-    if engine == "compressed":
-        return _compressed_search(pi.n, step)
-    raise ValueError(f"unknown engine {engine!r}")
+    return _maximize(pi.n, _weak_step(pi), engine)
 
 
 def max_string_twin(
@@ -475,19 +425,20 @@ def _check_budget(what: str, total: int, max_enumerations: int) -> None:
         raise BudgetExceededError(what, total, max_enumerations)
 
 
-def _walk(sizes, options, fix, lag, start, stop, exact, capped, pattern=None):
+def _walk(sizes, options, fix, lag, start, stop, capped, pattern=None):
     """(value, index, instance, decided) of the minimum over instances
     [start, stop) of a scan space, walked depth first.
 
     A node with k coordinates fixed covers sizes[k] consecutive indices;
     its children fix coordinate k + 1 (1-based) to each of options(k) in
     turn by fix(k + 1, v), and fix(k + 1, 0) unfixes it, so leaves come in
-    index order. The first instance is decided by exact(instance). After
-    it, a node whose prefix can hold a twin of the running minimum (k >=
-    2*best - lag) is decided by capped(k, best) = min(max twin of the
-    prefix, best): twins are hereditary, so if that reaches best no
-    completion is a new minimizer and the subtree is skipped, and at a
-    leaf a value below best is exact. With `pattern`, capped values are
+    index order. A node is decided by capped(k, cap) = min(max twin of the
+    prefix, cap). The first leaf gets cap = depth, which no twin reaches,
+    so its value is exact. After it, a node whose prefix can hold a twin
+    of the running minimum (k >= 2*best - lag) gets cap = best: twins are
+    hereditary, so if that reaches best no completion is a new minimizer
+    and the subtree is skipped, and at a leaf a value below best is
+    exact. With `pattern`, capped values are
     memoized by pattern(k); the cap only falls, so a stored value either
     still reaches it or is exact.
     """
@@ -509,7 +460,7 @@ def _walk(sizes, options, fix, lag, start, stop, exact, capped, pattern=None):
                 value = memo.get(key)
                 if value is None:
                     decided += 1
-                    value = exact(tuple(chosen)) if best is None else capped(k + 1, best)
+                    value = capped(k + 1, depth if best is None else best)
                     if key is not None:
                         memo[key] = value
                 if best is not None and value >= best:
@@ -543,8 +494,7 @@ def _scan_colorings(args) -> tuple[int, int, tuple[int, ...], int]:
     sizes = [r ** (len(edges) - k) for k in range(len(edges) + 1)]
     return _walk(
         sizes, lambda k: palette, fix, 2, start, stop,
-        exact=lambda colors: max_twin(EdgeColoring(n, r, colors))[0],
-        capped=lambda k, cap: _capped_max(n, step, cap),
+        capped=lambda k, cap: _compressed_max(n, step, cap)[0],
     )
 
 
@@ -559,8 +509,7 @@ def _scan_permutations(args) -> tuple[int, int, tuple[int, ...], int]:
     return _walk(
         sizes, lambda k: [v for v in range(1, n + 1) if v not in vals[1 : k + 1]],
         vals.__setitem__, 0, start, stop,
-        exact=lambda values: max_weak_twin(Permutation(values))[0],
-        capped=lambda k, cap: _capped_max(k, step, cap),
+        capped=lambda k, cap: _compressed_max(k, step, cap)[0],
         pattern=lambda k: tuple(sorted(range(1, k + 1), key=vals.__getitem__)),
     )
 
@@ -571,7 +520,6 @@ def _scan_strings(args) -> tuple[int, int, tuple[int, ...], int]:
     palette = list(range(1, r + 1))
     return _walk(
         [r ** (n - k) for k in range(n + 1)], lambda k: palette, letters.__setitem__, 0, start, stop,
-        exact=lambda x: max_string_twin(LetterString(r, x))[0],
         capped=lambda k, cap: _capped_string_max(tuple(letters[1 : k + 1]), cap),
     )
 

@@ -167,18 +167,21 @@ def per_twin_block_claims(profile, max_twins):
 
 
 def full_scan_colorings(n, r):
-    """`exact_F`'s space without pruning: (colors, max_twin) for every
-    r-coloring of K_n in counter order (last edge fastest)."""
+    """`exact_F`'s space without pruning: (colors, plain-engine max_twin)
+    for every r-coloring of K_n in counter order (last edge fastest)."""
     return [
-        (colors, max_twin(EdgeColoring(n, r, colors))[0])
+        (colors, max_twin(EdgeColoring(n, r, colors), engine="plain")[0])
         for colors in product(range(1, r + 1), repeat=n * (n - 1) // 2)
     ]
 
 
 def full_scan_permutations(n):
-    """`exact_F_weak`'s space without pruning: (values, max_weak_twin) for
-    every permutation of [n] in lexicographic order."""
-    return [(values, max_weak_twin(Permutation(values))[0]) for values in permutations(range(1, n + 1))]
+    """`exact_F_weak`'s space without pruning: (values, plain-engine
+    max_weak_twin) for every permutation of [n] in lexicographic order."""
+    return [
+        (values, max_weak_twin(Permutation(values), engine="plain")[0])
+        for values in permutations(range(1, n + 1))
+    ]
 
 
 def full_scan_strings(n, r):

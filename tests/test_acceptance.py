@@ -14,12 +14,8 @@ from twins.constructions import random_coloring
 from twins.harness import (
     DEFAULT_SEED,
     SuiteConfig,
-    cmd_blockclaims,
-    cmd_guarantees,
-    cmd_lcs_tail,
-    cmd_tables,
-    cmd_twinbound,
     default_config,
+    run_suite,
 )
 from twins.oracle import enumerate_twins, max_string_twin, max_twin, max_weak_twin
 from twins.reductions import coloring_from_permutation, coloring_from_string
@@ -41,7 +37,7 @@ def test_criterion_01_general_builder_guarantee():
         seed=DEFAULT_SEED,
     )
     start = time.monotonic()
-    run = cmd_guarantees(config)
+    run = run_suite(config)
     elapsed = time.monotonic() - start
     general = [c for c in run.cases if c.params["builder"] == "general"]
     ok = (
@@ -61,7 +57,7 @@ def test_criterion_01_general_builder_guarantee():
 def test_criterion_02_binary_builder_guarantee():
     config = SuiteConfig("guarantees", [{"n": 60, "r": 2}], samples=500, seed=DEFAULT_SEED)
     start = time.monotonic()
-    run = cmd_guarantees(config)
+    run = run_suite(config)
     elapsed = time.monotonic() - start
     binary = [c for c in run.cases if c.params["builder"] == "binary"]
     sizes_ok = all(c.passed and c.value >= 15 for c in binary)
@@ -122,7 +118,7 @@ def test_criterion_04_string_reduction_binary_7():
 def test_criterion_05_exhaustive_tables():
     config = default_config("tables")
     start = time.monotonic()
-    run = cmd_tables(config)
+    run = run_suite(config)
     elapsed = time.monotonic() - start
     values = {
         (c.params["table"], c.params["n"], c.params["r"]): c.value
@@ -177,7 +173,7 @@ def test_criterion_06_engine_equivalence():
 def test_criterion_07_composite_twin_bound():
     config = default_config("twinbound")
     start = time.monotonic()
-    run = cmd_twinbound(config)
+    run = run_suite(config)
     elapsed = time.monotonic() - start
     ok = run.ok and len(run.cases) == 50
     report(
@@ -191,7 +187,7 @@ def test_criterion_07_composite_twin_bound():
 def test_criterion_08_block_structural_claims():
     config = default_config("blockclaims")
     start = time.monotonic()
-    run = cmd_blockclaims(config)
+    run = run_suite(config)
     elapsed = time.monotonic() - start
     twins_checked = sum(c.value for c in run.cases if isinstance(c.value, int))
     ok = run.ok and len(run.cases) == 9 and elapsed < 600
@@ -206,7 +202,7 @@ def test_criterion_08_block_structural_claims():
 def test_criterion_09_lcs_tail_probe():
     config = default_config("lcs-tail")
     start = time.monotonic()
-    run = cmd_lcs_tail(config)
+    run = run_suite(config)
     elapsed = time.monotonic() - start
     exceedances = sum(1 for c in run.cases if c.value == "exceeded")
     # statistical criterion: a nonzero count would flag investigation; under

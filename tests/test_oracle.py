@@ -19,10 +19,13 @@ from twins.core import EdgeColoring, relabel_palette, validate_twin
 from twins.oracle import (
     BudgetExceededError,
     _capped_string_max,
+    _coloring_step,
+    _compressed_max,
     _scan_colorings,
     _scan_permutations,
     _scan_strings,
     _shard_ranges,
+    _weak_step,
     enumerate_twins,
     exact_F,
     exact_F_string,
@@ -138,16 +141,48 @@ class TestMaxStringTwin:
     def test_matches_synchronized_search(self, seed, n, r):
         # cross-family check: the scan DP must agree with the generic
         # synchronized-pair engine driven by letter-equality predicates
-        from twins.oracle import _compressed_search
+        from twins.oracle import _compressed_max
 
         x = random_string(n, r, seed)
         letters = (0,) + x.letters
-        size, _ = _compressed_search(
+        size, _, _ = _compressed_max(
             n,
             lambda a, p, b, q: letters[p] == letters[q],
-            lambda a, b: letters[a] == letters[b],
+            start=lambda a, b: letters[a] == letters[b],
         )
         assert max_string_twin(x)[0] == size
+
+
+def assert_capped_core(n, step, expected):
+    """_compressed_max at every cap 0..n//2+1 gives min(expected, cap), and
+    every value it memoizes is the exact one of the uncapped search."""
+    size, _, exact = _compressed_max(n, step)
+    assert size == expected
+    for cap in range(n // 2 + 2):
+        size, _, memo = _compressed_max(n, step, cap)
+        assert size == min(expected, cap), cap
+        assert all(exact[key] == value for key, value in memo.items()), cap
+
+
+class TestCappedCore:
+    """The capped compressed core against the plain engine."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_2_coloring(self, n):
+        for colors in product((1, 2), repeat=n * (n - 1) // 2):
+            c = EdgeColoring(n, 2, colors)
+            assert_capped_core(n, _coloring_step(c), max_twin(c, engine="plain")[0])
+
+    def test_seeded_colorings(self):
+        for seed in range(200):
+            c = random_coloring(2 + seed % 11, 2 + seed % 2, seed)
+            assert_capped_core(c.n, _coloring_step(c), max_twin(c, engine="plain")[0])
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_permutation(self, n):
+        for values in permutations(range(1, n + 1)):
+            pi = Permutation(values)
+            assert_capped_core(n, _weak_step(pi), max_weak_twin(pi, engine="plain")[0])
 
 
 class TestCappedStringMax:
