@@ -8,16 +8,15 @@ Usage:
 
 Each side is exported with `git archive` into its own directory under
 --work-dir (a new temporary directory by default). For every workload,
-PAIRS pairs of `perfbench/run.py --trace 0` runs alternate parent, change,
-parent, change, ... so both sides see the same host conditions. The
+PAIRS pairs of `perfbench/run.py --trace 0` runs are made one after the
+other, the parent first in odd pairs and the change first in even ones,
+so both sides see the same host conditions. The
 end-to-end metrics of BENCHMARK.json are read from the last line of each
 run's output.
 
-Writes BENCH_<LABEL>.json in the repository root: per workload and seed
-the parent's and the change's quartiles of every metric, and how many
-pairs the change reads better in. An existing file of the same two commits
-is updated: entries of the same workload and seed are replaced, others
-kept. Standard library only.
+Writes BENCH_<LABEL>.json in the repository root, after each workload:
+per workload the parent's and the change's quartiles of every metric,
+and how many pairs the change reads better in. Standard library only.
 """
 
 from __future__ import annotations
@@ -34,7 +33,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METHOD = (
-    "alternating pairs of runs, each side from its own `git archive` checkout; "
+    "alternating pairs of runs, each side from its own `git archive` checkout, "
+    "the side that runs first alternating between pairs; "
     "quartiles by statistics.quantiles(method='inclusive'); change_wins counts "
     "pairs where the change reads better, ties for neither"
 )
@@ -50,7 +50,7 @@ def export(commit: str, dest: str) -> str:
     """Extract the tree of `commit` into `dest` (once) and return it."""
     if not os.path.isdir(dest):
         os.makedirs(dest)
-        archive = os.path.join(dest + ".tar")
+        archive = dest + ".tar"
         with open(archive, "wb") as fh:
             subprocess.run(["git", "archive", commit], cwd=ROOT, stdout=fh, check=True)
         with tarfile.open(archive) as tar:
@@ -130,17 +130,12 @@ def main() -> int:
         "python": platform.python_version(),
         "workloads": {},
     }
-    if os.path.exists(path):
-        with open(path) as fh:
-            old = json.load(fh)
-        if (old.get("parent_commit"), old.get("change_commit")) == (parent, change):
-            bench = {**old, **{k: v for k, v in bench.items() if k not in ("label", "workloads")}}
-
     for item in args.workload:
         workload, _, count = item.partition(":")
         pairs, failed = [], 0
         for k in range(int(count or 1)):
-            runs = {side: run_once(checkout, workload, args.seed, args.seconds) for side, checkout in sides.items()}
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            runs = {side: run_once(sides[side], workload, args.seed, args.seconds) for side in order}
             failed += sum(r is None for r in runs.values())
             if None not in runs.values():
                 pairs.append((runs["parent"], runs["change"]))
@@ -149,11 +144,9 @@ def main() -> int:
         if not pairs:
             print(f"{workload}: no pair completed", file=sys.stderr)
             return 1
-        entries = [e for e in bench["workloads"].get(workload, []) if e["seed"] != args.seed]
-        entries.append({"seed": args.seed, "pairs": len(pairs), "failed_runs": failed,
-                        "metrics": compare(pairs, spec)})
-        bench["workloads"][workload] = sorted(entries, key=lambda e: e["seed"])
-        bench["workloads"] = dict(sorted(bench["workloads"].items()))
+        bench["workloads"][workload] = [
+            {"seed": args.seed, "pairs": len(pairs), "failed_runs": failed, "metrics": compare(pairs, spec)}
+        ]
         with open(path, "w") as fh:
             json.dump(bench, fh, indent=1)
             fh.write("\n")
