@@ -123,22 +123,27 @@ def _compressed_max(
     limit = n if cap is None else cap
     if n < 2 or limit <= 0:
         return 0, None, memo
+    # A state one step below the cap returns at its first extension or has
+    # none, so it is neither looked up nor stored.
+    last = limit - 1
 
     def rec(a: int, b: int, mask: int, size: int) -> int:
         if size >= limit:
             return 0
         key = (a, mask >> a)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if max_states is not None and len(memo) >= max_states:
-            raise BudgetExceededError("search states", len(memo) + 1, max_states)
+        if size < last:
+            cached = memo.get(key)
+            if cached is not None:
+                return cached
+            if max_states is not None and len(memo) >= max_states:
+                raise BudgetExceededError("search states", len(memo) + 1, max_states)
         best = 0
-        for p in range(a + 1, n + 1):
+        qs = range(b + 1, n + 1)
+        for p in range(a + 1, n + 1) if qs else ():
             if mask >> p & 1:
                 continue
             pmask = mask | 1 << p
-            for q in range(b + 1, n + 1):
+            for q in qs:
                 if q != p and step(a, p, b, q):
                     if p < q:
                         v = 1 + rec(p, q, pmask | 1 << q, size + 1)
@@ -148,7 +153,8 @@ def _compressed_max(
                         best = v
                         if size + v >= limit:
                             return v
-        memo[key] = best
+        if size < last:
+            memo[key] = best
         return best
 
     best_size = 0
@@ -171,9 +177,9 @@ def _replay(
     start_pair: tuple[int, int] | None,
     value: Callable[[int, int, int], int | None],
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """A witness of a memoized search: from the best start, take at each
-    step the first extension in search order whose state (used-index
-    mask, lo, hi) the memo values at the size still to go."""
+    """The witness of a memoized search: from the best start, take at each
+    step the first extension, in search order, whose state has the value
+    value(used-index mask, lo, hi) = the number of steps still to go."""
     if not size:
         return (), ()
     chain1, chain2 = [start_pair[0]], [start_pair[1]]
@@ -438,9 +444,8 @@ def _walk(sizes, options, fix, lag, start, stop, capped, pattern=None):
     of the running minimum (k >= 2*best - lag) gets cap = best: twins are
     hereditary, so if that reaches best no completion is a new minimizer
     and the subtree is skipped, and at a leaf a value below best is
-    exact. With `pattern`, capped values are
-    memoized by pattern(k); the cap only falls, so a stored value either
-    still reaches it or is exact.
+    exact. With `pattern`, capped values are memoized by pattern(k); the
+    cap only falls, so a stored value either still reaches it or is exact.
     """
     depth = len(sizes) - 1
     chosen = [0] * depth
