@@ -124,7 +124,8 @@ def _compressed_max(
     if n < 2 or limit <= 0:
         return 0, None, memo
     # A state one step below the cap returns at its first extension or has
-    # none, so it is neither looked up nor stored.
+    # none, so it is neither looked up nor stored. Without a cap no size
+    # reaches it for n >= 3 (a twin has at most n // 2 pairs).
     last = limit - 1
 
     def rec(a: int, b: int, mask: int, size: int) -> int:
@@ -138,7 +139,7 @@ def _compressed_max(
             if max_states is not None and len(memo) >= max_states:
                 raise BudgetExceededError("search states", len(memo) + 1, max_states)
         best = 0
-        qs = range(b + 1, n + 1)
+        qs = range(b + 1, n + 1)  # empty once b = n: no pick is left
         for p in range(a + 1, n + 1) if qs else ():
             if mask >> p & 1:
                 continue
