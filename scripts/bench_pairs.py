@@ -4,15 +4,15 @@
 Usage:
     python scripts/bench_pairs.py --parent REV --change REV --label LABEL
         --workload NAME:PAIRS [--workload NAME:PAIRS ...]
-        [--seed N] [--seconds S] [--title TEXT] [--work-dir DIR]
+        [--seed N] [--work-dir DIR]
 
 Each side is exported with `git archive` into its own directory under
 --work-dir (a new temporary directory by default). For every workload,
 PAIRS pairs of `perfbench/run.py --trace 0` runs are made one after the
 other, the parent first in odd pairs and the change first in even ones,
-so both sides see the same host conditions. The
-end-to-end metrics of BENCHMARK.json are read from the last line of each
-run's output.
+so both sides see the same host conditions. Each run lasts the
+`run_seconds` of BENCHMARK.json, and its end-to-end metrics are read
+from the last line of the run's output.
 
 Writes BENCH_<LABEL>.json in the repository root, after each workload:
 per workload the parent's and the change's quartiles of every metric,
@@ -104,13 +104,12 @@ def main() -> int:
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--workload", action="append", required=True, metavar="NAME:PAIRS")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=25)
-    parser.add_argument("--title", help="the file's `label` field (default: LABEL)")
     parser.add_argument("--work-dir", help="where the two checkouts go")
     args = parser.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        spec = json.load(fh)["end_to_end"]
+        benchmark = json.load(fh)
+    spec, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     parent, change = rev_parse(args.parent), rev_parse(args.change)
     work_dir = args.work_dir or tempfile.mkdtemp(prefix="bench_pairs_")
     sides = {
@@ -120,9 +119,8 @@ def main() -> int:
 
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     bench = {
-        "label": args.title or args.label,
-        "command": "python3 perfbench/run.py --workload NAME --seed SEED --seconds "
-                   f"{args.seconds:g} --trace 0",
+        "label": args.label,
+        "command": f"python3 perfbench/run.py --workload NAME --seed SEED --seconds {seconds:g} --trace 0",
         "method": METHOD,
         "parent_commit": parent,
         "change_commit": change,
@@ -135,7 +133,7 @@ def main() -> int:
         pairs, failed = [], 0
         for k in range(int(count or 1)):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            runs = {side: run_once(sides[side], workload, args.seed, args.seconds) for side in order}
+            runs = {side: run_once(sides[side], workload, args.seed, seconds) for side in order}
             failed += sum(r is None for r in runs.values())
             if None not in runs.values():
                 pairs.append((runs["parent"], runs["change"]))

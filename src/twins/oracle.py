@@ -17,7 +17,7 @@ level, under an explicit enumeration budget. All three twin notions are
 hereditary, so once a prefix holds a twin of the running minimum its
 whole subtree is skipped. Prefixes are decided by the capped core or the
 capped string scan at that minimum, and each shard's first instance by
-the same kernel at a cap no twin reaches. Index ranges can be sharded
+the same kernel at a cap no twin exceeds. Index ranges can be sharded
 across a process pool.
 """
 
@@ -440,7 +440,8 @@ def _walk(sizes, options, fix, lag, start, stop, capped, pattern=None):
     its children fix coordinate k + 1 (1-based) to each of options(k) in
     turn by fix(k + 1, v), and fix(k + 1, 0) unfixes it, so leaves come in
     index order. A node is decided by capped(k, cap) = min(max twin of the
-    prefix, cap). The first leaf gets cap = depth, which no twin reaches,
+    prefix, cap). The first leaf gets cap = depth, which no twin exceeds
+    (K_2 has one edge and a twin of size 1, so the cap can be reached),
     so its value is exact. After it, a node whose prefix can hold a twin
     of the running minimum (k >= 2*best - lag) gets cap = best: twins are
     hereditary, so if that reaches best no completion is a new minimizer

@@ -367,6 +367,14 @@ class TestDecided:
         for result in (exact_F(6, 2), exact_F_weak(8), exact_F_string(13, 2)):
             assert result.decided < result.enumerated / 2, result
 
+    def test_first_leaf_cap_is_reached_by_k2(self):
+        # K_2 has one edge and a twin of size 1, so the first leaf's cap
+        # (the depth, 1) equals its maximum: the cap may be reached, not passed.
+        for r in (1, 2, 3):
+            assert _scan_colorings((2, r, 0, r)) == (1, 0, (1,), r)
+            result = exact_F(2, r, jobs=2)
+            assert (result.value, result.minimizer.colors, result.decided) == (1, (1,), r)
+
     def test_sharded_runs_sum_their_shards(self):
         shards = [_scan_strings((10, 2, lo, hi)) for lo, hi in _shard_ranges(2**10, 3)]
         assert exact_F_string(10, 2, jobs=3).decided == sum(s[3] for s in shards)
