@@ -73,6 +73,11 @@ class ConfigError(ValueError):
         self.field_name = field_name
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool (JSON true would pass isinstance)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class SuiteConfig:
     suite: str
@@ -90,18 +95,22 @@ class SuiteConfig:
             raise ConfigError("suite", f"unknown suite {self.suite!r}")
         if not isinstance(self.grid, list) or not self.grid:
             raise ConfigError("grid", "must be a non-empty list of parameter dicts")
-        if self.samples < 1:
-            raise ConfigError("samples", "must be positive")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.samples) or self.samples < 1:
+            raise ConfigError("samples", "must be a positive integer")
+        if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError("seed", "must be a non-negative integer")
-        if self.max_states is not None and self.max_states < 1:
-            raise ConfigError("max_states", "must be positive")
-        if self.max_enumerations < 1:
-            raise ConfigError("max_enumerations", "must be positive")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ConfigError("time_limit", "must be positive")
-        if self.jobs < 1:
-            raise ConfigError("jobs", "must be positive")
+        if self.max_states is not None and (not _is_int(self.max_states) or self.max_states < 1):
+            raise ConfigError("max_states", "must be a positive integer")
+        if not _is_int(self.max_enumerations) or self.max_enumerations < 1:
+            raise ConfigError("max_enumerations", "must be a positive integer")
+        if self.time_limit is not None and (
+            isinstance(self.time_limit, bool)
+            or not isinstance(self.time_limit, (int, float))
+            or self.time_limit <= 0
+        ):
+            raise ConfigError("time_limit", "must be a positive number")
+        if not _is_int(self.jobs) or self.jobs < 1:
+            raise ConfigError("jobs", "must be a positive integer")
         if self.time_limit is not None and self.jobs > 1:
             raise ConfigError("time_limit", "is only honored with jobs=1; the worker pool has no deadline")
         if self.max_states is not None and self.suite != "twinbound":

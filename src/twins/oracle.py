@@ -11,6 +11,11 @@ used-index set and both ends, is simple and exponential: it is the
 correctness oracle, checked against the core by the test and acceptance
 suites. Both engines share one witness replay, `_replay`.
 
+Strings have one search too, the capped scan `_capped_string_max` over
+(position, queue) states. `max_string_twin` runs it at a cap no string
+twin exceeds and reads its witness from the path of a run that reaches
+the size.
+
 Extremal tables (minimum over all colorings / strings / permutations)
 walk their spaces depth first in a fixed order, one coordinate per
 level, under an explicit enumeration budget. All three twin notions are
@@ -266,77 +271,41 @@ def max_weak_twin(
 def max_string_twin(
     x: LetterString,
 ) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Exact maximum string-twin length with a witness.
+    """Exact maximum string-twin length with a witness, by the string scan.
 
-    Scans positions once, keeping the queue of letters the leading chain
-    has committed to and the trailing chain must still match in order.
-    A letter is only enqueued while enough positions remain to match it;
-    unmatched pending letters at the end cost nothing (the twin is the
-    matched pairs). States are (position, queue), so the table stays
-    small for short strings and small alphabets.
+    No string twin exceeds n // 2, so the scan capped there gives the
+    size; below that cap it runs once more, capped at the size, to record
+    the path of a run that reaches it. The trailing chain matches the
+    pushed letters first in, first out, so the k-th match pairs with the
+    k-th push; pushes left pending at the end are not part of the twin.
     """
     letters = x.letters
-    n = len(letters)
-    memo: dict = {}
-
-    def rec(pos: int, queue: tuple[int, ...]) -> int:
-        if pos == n:
-            return 0
-        key = (pos, queue)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        a = letters[pos]
-        best = rec(pos + 1, queue)
-        if queue and queue[0] == a:
-            v = 1 + rec(pos + 1, queue[1:])
-            if v > best:
-                best = v
-        if len(queue) < n - pos - 1:
-            v = rec(pos + 1, queue + (a,))
-            if v > best:
-                best = v
-        memo[key] = best
-        return best
-
-    size = rec(0, ())
-    if size == 0:
-        return 0, ((), ())
-
-    def value(pos: int, queue: tuple[int, ...]) -> int:
-        return 0 if pos == n else memo[(pos, queue)]
-
-    # Replay preferring match > push > skip; pushes become the first chain.
-    pending: list[int] = []
-    matched: list[tuple[int, int]] = []
-    queue: tuple[int, ...] = ()
-    pos = 0
-    while pos < n:
-        a = letters[pos]
-        target = value(pos, queue)
-        if queue and queue[0] == a and 1 + value(pos + 1, queue[1:]) == target:
-            matched.append((pending.pop(0), pos))
-            queue = queue[1:]
-        elif len(queue) < n - pos - 1 and value(pos + 1, queue + (a,)) == target:
-            pending.append(pos)
-            queue = queue + (a,)
-        pos += 1
-    matched = matched[:size]
-    first = tuple(p + 1 for p, _ in matched)
-    second = tuple(q + 1 for _, q in matched)
-    return size, (first, second)
+    path: list[tuple[int, bool]] = []
+    size = _capped_string_max(letters, len(letters) // 2, path)
+    if size < len(letters) // 2:
+        _capped_string_max(letters, size, path)
+    path.reverse()
+    first = tuple(pos + 1 for pos, matched in path if not matched)
+    second = tuple(pos + 1 for pos, matched in path if matched)
+    return size, (first[:size], second)
 
 
-def _capped_string_max(letters: tuple[int, ...], cap: int) -> int:
-    """min(max string-twin length, cap): the scan of max_string_twin as a
-    depth-first decision search over (pos, queue, m), m = pairs matched.
+def _capped_string_max(
+    letters: tuple[int, ...], cap: int, path: list[tuple[int, bool]] | None = None
+) -> int:
+    """min(max string-twin length, cap) by a depth-first decision search
+    over (pos, queue, m): queue holds the letters the leading chain has
+    committed to and the trailing chain must still match in order, and m
+    counts the pairs matched.
 
     Tries match, then push, then skip, and stops once `cap` is reached.
     With r = n - pos positions left, at most min(r, (len(queue) + r) // 2)
     more pairs can match (a pair not yet queued needs two positions), so
     branches that cannot beat the current best are pruned. `dead` keeps,
     per (pos, queue), the largest m that failed there: a state that failed
-    with m matches cannot succeed with fewer, and best only grows.
+    with m matches cannot succeed with fewer, and best only grows. If the
+    cap is reached and `path` is a list, each frame on the way back
+    appends (pos, True) for its match or (pos, False) for its push.
     """
     if cap <= 0:
         return 0
@@ -358,8 +327,12 @@ def _capped_string_max(letters: tuple[int, ...], cap: int) -> int:
             return False
         a = letters[pos]
         if queue and queue[0] == a and dfs(pos + 1, queue[1:], m + 1):
+            if path is not None:
+                path.append((pos, True))
             return True
         if len(queue) < r - 1 and dfs(pos + 1, queue + (a,), m):
+            if path is not None:
+                path.append((pos, False))
             return True
         if dfs(pos + 1, queue, m):
             return True
@@ -600,7 +573,8 @@ def exact_F_string(
     max_enumerations: int = DEFAULT_MAX_ENUMERATIONS,
     jobs: int = 1,
 ) -> ExtremalResult:
-    """Minimum of max_string_twin over [r]^n (r=2 reaches n=21 at the default budget).
+    """Minimum of max_string_twin over [r]^n. For r=2 the default budget
+    admits n <= 21; n = 20 takes about 40 s.
 
     Walks [r]^n in counter order one position per level; a prefix that
     already holds a string twin of the running minimum has its subtree

@@ -5,18 +5,22 @@ with the package's search engines; they are only practical for tiny
 instances. A twin's prefix is itself a twin, so each maximizer walks
 sizes upward and stops at the first miss.
 
+`core_string_max` is the string path independent of the string scan:
+the package's synchronized-pair core driven by letter-equality
+predicates.
+
 The reference loops at the end are the plain forms of package checks
-and scans that have a fast path: they call only the package's public
-functions and evaluate everything else element by element, twin by twin
-or instance by instance.
+and scans that have a fast path: they evaluate everything element by
+element, twin by twin or instance by instance, through the package's
+public functions or `core_string_max`.
 """
 
 from itertools import combinations, permutations, product
 
 from twins.constructions import block_coloring, twin_block_graph, uncovered_blocks
 from twins.core import EMPTY_TWIN, VALID, EdgeColoring, TwinPair, Verdict
-from twins.oracle import enumerate_twins, max_string_twin, max_twin, max_weak_twin
-from twins.sequences import LetterString, Permutation
+from twins.oracle import _compressed_max, enumerate_twins, max_twin, max_weak_twin
+from twins.sequences import Permutation
 
 
 def _all_disjoint_pairs(n, size):
@@ -59,6 +63,17 @@ def brute_max_string_twin(x):
             break
         best = size
     return best
+
+
+def core_string_max(letters):
+    """Maximum string-twin length by the synchronized-pair core: both
+    chains step to equal letters, from a start pair of equal letters."""
+    at = (0,) + tuple(letters)
+    return _compressed_max(
+        len(letters),
+        lambda a, p, b, q: at[p] == at[q],
+        start=lambda i, j: at[i] == at[j],
+    )[0]
 
 
 def brute_max_weak_twin(pi):
@@ -185,12 +200,9 @@ def full_scan_permutations(n):
 
 
 def full_scan_strings(n, r):
-    """`exact_F_string`'s space without pruning: (letters, max_string_twin)
+    """`exact_F_string`'s space without pruning: (letters, core_string_max)
     for every string of [r]^n in counter order (last letter fastest)."""
-    return [
-        (letters, max_string_twin(LetterString(r, letters))[0])
-        for letters in product(range(1, r + 1), repeat=n)
-    ]
+    return [(letters, core_string_max(letters)) for letters in product(range(1, r + 1), repeat=n)]
 
 
 def first_minimum(scan, lo=0, hi=None):

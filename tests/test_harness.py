@@ -286,6 +286,23 @@ class TestCli:
         path.write_text(json.dumps({"suite": "tables", "grid": []}))
         assert main(["tables", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("samples", 1.5),
+            ("seed", True),
+            ("max_states", "10"),
+            ("max_enumerations", "100"),
+            ("time_limit", "5"),
+            ("jobs", True),
+        ],
+    )
+    def test_mistyped_field_exit_code(self, tmp_path, capsys, name, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**tiny_config("twinbound").to_dict(), name: value}))
+        assert main(["twinbound", "--config", str(path)]) == 2
+        assert f"configuration error - {name}: " in capsys.readouterr().err
+
     def test_suite_mismatch_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(tiny_config("twinbound").to_dict()))

@@ -9,6 +9,7 @@ from brute_oracles import (
     brute_max_string_twin,
     brute_max_twin,
     brute_max_weak_twin,
+    core_string_max,
     first_minimum,
     full_scan_colorings,
     full_scan_permutations,
@@ -136,21 +137,24 @@ class TestMaxStringTwin:
         assert size == brute_max_string_twin(x)
         assert validate_string_twin(x, first, second).ok
 
-    @given(seed=st.integers(0, 10**9), n=st.integers(2, 12), r=st.integers(2, 4))
+    @given(seed=st.integers(0, 10**9), n=st.integers(2, 20), r=st.integers(2, 4))
     @settings(max_examples=60, deadline=None)
     def test_matches_synchronized_search(self, seed, n, r):
-        # cross-family check: the scan DP must agree with the generic
+        # cross-family check: the string scan must agree with the generic
         # synchronized-pair engine driven by letter-equality predicates
-        from twins.oracle import _compressed_max
-
         x = random_string(n, r, seed)
-        letters = (0,) + x.letters
-        size, _, _ = _compressed_max(
-            n,
-            lambda a, p, b, q: letters[p] == letters[q],
-            start=lambda a, b: letters[a] == letters[b],
-        )
-        assert max_string_twin(x)[0] == size
+        assert max_string_twin(x)[0] == core_string_max(x.letters)
+
+    @pytest.mark.parametrize("r,n", [(2, n) for n in range(13)] + [(3, n) for n in range(8)])
+    def test_every_witness(self, r, n):
+        # n // 2 is reached in one run of the scan; a smaller size takes a
+        # second run capped at it, whose path gives the witness
+        for letters in product(range(1, r + 1), repeat=n):
+            x = LetterString(r, letters)
+            size, (first, second) = max_string_twin(x)
+            assert size == core_string_max(letters), letters
+            assert len(first) == size, letters
+            assert validate_string_twin(x, first, second).ok, letters
 
 
 def assert_capped_core(n, step, expected):
@@ -186,12 +190,12 @@ class TestCappedCore:
 
 
 class TestCappedStringMax:
-    """The capped scan kernel of exact_F_string against the exact maximizer."""
+    """The capped scan kernel of exact_F_string against the pair core."""
 
     @pytest.mark.parametrize("r,n", [(2, n) for n in range(1, 11)] + [(3, n) for n in range(1, 7)])
     def test_exhaustive_every_cap(self, r, n):
         for letters in product(range(1, r + 1), repeat=n):
-            expected = max_string_twin(LetterString(r, letters))[0]
+            expected = core_string_max(letters)
             for cap in range(n // 2 + 2):
                 assert _capped_string_max(letters, cap) == min(expected, cap), (letters, cap)
 
@@ -212,7 +216,7 @@ class TestCappedStringMax:
     def test_matches_exact_maximizer(self, seed, n, r, data):
         x = random_string(n, r, seed)
         cap = data.draw(st.integers(0, n // 2 + 1))
-        assert _capped_string_max(x.letters, cap) == min(max_string_twin(x)[0], cap)
+        assert _capped_string_max(x.letters, cap) == min(core_string_max(x.letters), cap)
 
 
 class TestMaxWeakTwin:
