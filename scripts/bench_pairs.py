@@ -12,7 +12,8 @@ PAIRS pairs of `perfbench/run.py --trace 0` runs are made one after the
 other, the parent first in odd pairs and the change first in even ones,
 so both sides see the same host conditions. Each run lasts the
 `run_seconds` of BENCHMARK.json, and its end-to-end metrics are read
-from the last line of the run's output.
+from the last line of the run's output and printed per pair, parent
+first.
 
 Writes BENCH_<LABEL>.json in the repository root, after each workload:
 per workload the parent's and the change's quartiles of every metric,
@@ -137,8 +138,9 @@ def main() -> int:
             failed += sum(r is None for r in runs.values())
             if None not in runs.values():
                 pairs.append((runs["parent"], runs["change"]))
-                print(f"{workload} pair {k + 1}: wall_s {runs['parent']['wall_s']:.3f} -> "
-                      f"{runs['change']['wall_s']:.3f}", flush=True)
+                print(f"{workload} pair {k + 1}: " + ", ".join(
+                    f"{m['name']} {runs['parent'][m['name']]:.4g} -> {runs['change'][m['name']]:.4g}"
+                    for m in spec), flush=True)
         if not pairs:
             print(f"{workload}: no pair completed", file=sys.stderr)
             return 1

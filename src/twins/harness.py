@@ -106,7 +106,7 @@ class SuiteConfig:
         if self.time_limit is not None and (
             isinstance(self.time_limit, bool)
             or not isinstance(self.time_limit, (int, float))
-            or self.time_limit <= 0
+            or not self.time_limit > 0  # also false for NaN, which no deadline passes
         ):
             raise ConfigError("time_limit", "must be a positive number")
         if not _is_int(self.jobs) or self.jobs < 1:

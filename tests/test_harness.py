@@ -294,6 +294,7 @@ class TestCli:
             ("max_states", "10"),
             ("max_enumerations", "100"),
             ("time_limit", "5"),
+            ("time_limit", float("nan")),
             ("jobs", True),
         ],
     )
