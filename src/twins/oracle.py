@@ -12,9 +12,8 @@ correctness oracle, checked against the core by the test and acceptance
 suites. Both engines share one witness replay, `_replay`.
 
 Strings have one search too, the capped scan `_capped_string_max` over
-(position, queue) states. `max_string_twin` runs it at a cap no string
-twin exceeds and reads its witness from the path of a run that reaches
-the size.
+(position, queue) states; `max_string_twin` takes its size and witness
+from it.
 
 Extremal tables (minimum over all colorings / strings / permutations)
 walk their spaces depth first in a fixed order, one coordinate per
@@ -313,7 +312,9 @@ def _capped_string_max(
     best = 0
     dead: dict = {}
 
-    def dfs(pos: int, queue: tuple[int, ...], m: int) -> bool:
+    # path is passed down, not captured: a captured path would cost every
+    # scan call one more allocated cell.
+    def dfs(pos: int, queue: tuple[int, ...], m: int, path: list[tuple[int, bool]] | None) -> bool:
         nonlocal best
         if m > best:
             best = m
@@ -326,20 +327,20 @@ def _capped_string_max(
         if dead.get(key, -1) >= m:
             return False
         a = letters[pos]
-        if queue and queue[0] == a and dfs(pos + 1, queue[1:], m + 1):
+        if queue and queue[0] == a and dfs(pos + 1, queue[1:], m + 1, path):
             if path is not None:
                 path.append((pos, True))
             return True
-        if len(queue) < r - 1 and dfs(pos + 1, queue + (a,), m):
+        if len(queue) < r - 1 and dfs(pos + 1, queue + (a,), m, path):
             if path is not None:
                 path.append((pos, False))
             return True
-        if dfs(pos + 1, queue, m):
+        if dfs(pos + 1, queue, m, path):
             return True
         dead[key] = m
         return False
 
-    dfs(0, (), 0)
+    dfs(0, (), 0, path)
     return best
 
 
