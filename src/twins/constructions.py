@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .builder import BipartiteColoring
-from .core import EdgeColoring, TwinPair, Verdict, check_index_lists, validate_twin
+from .core import EdgeColoring, TwinPair, validate_twin
 from .rng import Rng, derive_seed
 from .sequences import LetterString, Permutation
 
@@ -98,6 +98,11 @@ class CompositeSpec:
     @property
     def n(self) -> int:
         return self.block_count * self.half
+
+    @cached_property
+    def coloring(self) -> EdgeColoring:
+        """`composite_coloring(self)`, built on first use."""
+        return composite_coloring(self)
 
     def to_json_dict(self) -> dict:
         return {
@@ -189,8 +194,7 @@ def decompose_composite_twin(spec: CompositeSpec, twin: TwinPair) -> CompositeDe
     the intervals partition the twin positions into runs of size at most
     r/2, and that both chains change blocks at the same steps.
     """
-    c = composite_coloring(spec)
-    verdict = validate_twin(c, twin)
+    verdict = validate_twin(spec.coloring, twin)
     if not verdict:
         raise ValueError(f"not a twin of the composite coloring: {verdict.reason}")
     half = spec.half
@@ -258,6 +262,8 @@ class BlockProfile:
     def __post_init__(self):
         if self.x.r != self.r:
             raise ValueError("profile palette must match its string")
+        if not self.x.letters:
+            raise ValueError("profile string must be non-empty")
 
     @cached_property
     def block_count(self) -> int:
@@ -277,6 +283,11 @@ class BlockProfile:
     @property
     def total(self) -> int:
         return self.prefix[-1]
+
+    @cached_property
+    def coloring(self) -> EdgeColoring:
+        """`block_coloring(self)`, built on first use."""
+        return block_coloring(self)
 
     @cached_property
     def block_ids(self) -> tuple[int, ...]:
@@ -318,8 +329,6 @@ def skew_sum_permutation(profile: BlockProfile) -> Permutation:
 def block_coloring(profile: BlockProfile) -> EdgeColoring:
     """2-coloring of [1..L_m]: color 1 within a block, color 2 across blocks."""
     total = profile.total
-    if total < 2:
-        raise ValueError("need at least 2 vertices")
     ids = profile.block_ids
     colors = []
     for i in range(1, total + 1):
@@ -327,21 +336,6 @@ def block_coloring(profile: BlockProfile) -> EdgeColoring:
         for j in range(i + 1, total + 1):
             colors.append(1 if ids[j] == bi else 2)
     return EdgeColoring(total, 2, tuple(colors))
-
-
-def _validate_block_twin(profile: BlockProfile, twin: TwinPair) -> Verdict:
-    """validate_twin against block_coloring(profile), via block ids only."""
-    verdict = check_index_lists(profile.total, twin.first, twin.second)
-    if not verdict:
-        return verdict
-    ids = profile.block_ids
-    first, second = twin.first, twin.second
-    for t in range(twin.size - 1):
-        same_f = ids[first[t]] == ids[first[t + 1]]
-        same_s = ids[second[t]] == ids[second[t + 1]]
-        if same_f != same_s:
-            return Verdict(False, "color_mismatch", t + 1)
-    return verdict
 
 
 @dataclass(frozen=True)
@@ -411,7 +405,7 @@ def _block_graph(m: int, edges: frozenset[tuple[int, int]]) -> BlockGraph:
 
 
 def twin_block_graph(profile: BlockProfile, twin: TwinPair) -> BlockGraph:
-    verdict = _validate_block_twin(profile, twin)
+    verdict = validate_twin(profile.coloring, twin)
     if not verdict:
         raise ValueError(f"not a twin of the block coloring: {verdict.reason}")
     ids = profile.block_ids
@@ -424,7 +418,7 @@ def twin_block_graph(profile: BlockProfile, twin: TwinPair) -> BlockGraph:
 
 def uncovered_blocks(profile: BlockProfile, twin: TwinPair) -> frozenset[int]:
     """Blocks whose index interval is not fully contained in the twin's union."""
-    verdict = _validate_block_twin(profile, twin)
+    verdict = validate_twin(profile.coloring, twin)
     if not verdict:
         raise ValueError(f"not a twin of the block coloring: {verdict.reason}")
     return _uncovered(profile, twin)

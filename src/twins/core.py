@@ -169,10 +169,14 @@ def validate_twin(c: EdgeColoring, twin: TwinPair) -> Verdict:
     verdict = check_index_lists(c.n, twin.first, twin.second)
     if not verdict:
         return verdict
+    # Both lists are now in range and increasing, so each step's pair i < j
+    # is read from the upper-triangular colors as in EdgeColoring.color.
+    colors, m = c.colors, 2 * c.n
     first, second = twin.first, twin.second
-    for t in range(len(first) - 1):
-        if c.color(first[t], first[t + 1]) != c.color(second[t], second[t + 1]):
-            return Verdict(False, "color_mismatch", t + 1)
+    for t in range(1, len(first)):
+        i, k = first[t - 1], second[t - 1]
+        if colors[(i - 1) * (m - i) // 2 + first[t] - i - 1] != colors[(k - 1) * (m - k) // 2 + second[t] - k - 1]:
+            return Verdict(False, "color_mismatch", t)
     return VALID
 
 
@@ -316,7 +320,7 @@ def twin_from_json(text: str) -> TwinPair:
         not isinstance(data, list)
         or len(data) != 2
         or any(not isinstance(side, list) for side in data)
-        or any(not isinstance(v, int) for side in data for v in side)
+        or any(not isinstance(v, int) or isinstance(v, bool) for side in data for v in side)
     ):
         raise FormatError("twin JSON must be two arrays of integers")
     return TwinPair(tuple(data[0]), tuple(data[1]))

@@ -36,8 +36,6 @@ from .constructions import (
     BlockGraph,
     BlockProfile,
     _uncovered,
-    block_coloring,
-    composite_coloring,
     random_coloring,
     random_composite_spec,
     random_permutation_pair,
@@ -78,6 +76,43 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# The integer keys of a grid entry and the least value of each, per suite
+# and per table kind. Every key listed is required and no other is accepted,
+# apart from "kind" in tables and "x" (with an optional "r") in blockclaims.
+_GRID_INTS = {"guarantees": {"n": 1, "r": 1}, "twinbound": {"r": 2, "m": 1}, "lcs-tail": {"r": 1}}
+_TABLE_INTS = {"coloring": {"n": 1, "r": 1}, "weak": {"n": 1}, "string": {"n": 1, "r": 1}}
+
+
+def _grid_entry_problem(suite: str, entry) -> str | None:
+    """What makes `entry` unusable as a grid entry of `suite`, or None."""
+    if not isinstance(entry, dict):
+        return "must be a dict of parameters"
+    extra = set()
+    if suite == "tables":
+        if entry.get("kind") not in ("coloring", "weak", "string"):
+            return "kind must be 'coloring', 'weak' or 'string'"
+        ints, extra = _TABLE_INTS[entry["kind"]], {"kind"}
+    elif suite == "blockclaims":
+        ints, extra = ({"r": 1} if "r" in entry else {}), {"x"}
+    else:
+        ints = _GRID_INTS[suite]
+    unknown = sorted(set(entry) - set(ints) - extra)
+    if unknown:
+        return f"unknown key {unknown[0]!r}"
+    for key, least in ints.items():
+        if key not in entry:
+            return f"missing key {key!r}"
+        if not _is_int(entry[key]) or entry[key] < least:
+            return f"{key} must be an integer >= {least}, got {entry[key]!r}"
+    if suite == "twinbound" and entry["r"] % 2:
+        return f"r must be even (the composite palette), got {entry['r']}"
+    if suite == "blockclaims":
+        x, r = entry.get("x"), entry.get("r", 2)
+        if not isinstance(x, list) or not x or not all(_is_int(v) and 1 <= v <= r for v in x):
+            return f"x must be a non-empty list of integers in [1..{r}], got {x!r}"
+    return None
+
+
 @dataclass
 class SuiteConfig:
     suite: str
@@ -95,6 +130,10 @@ class SuiteConfig:
             raise ConfigError("suite", f"unknown suite {self.suite!r}")
         if not isinstance(self.grid, list) or not self.grid:
             raise ConfigError("grid", "must be a non-empty list of parameter dicts")
+        for index, entry in enumerate(self.grid):
+            problem = _grid_entry_problem(self.suite, entry)
+            if problem:
+                raise ConfigError("grid", f"entry {index} {entry!r}: {problem}")
         if not _is_int(self.samples) or self.samples < 1:
             raise ConfigError("samples", "must be a positive integer")
         if not _is_int(self.seed) or self.seed < 0:
@@ -277,7 +316,7 @@ def _cases_guarantees(config: SuiteConfig) -> list[dict]:
     index = 0
     draw = 0
     for entry in config.grid:
-        n, r = int(entry["n"]), int(entry["r"])
+        n, r = entry["n"], entry["r"]
         for sample in range(config.samples):
             seed = derive_seed(config.seed, draw)
             draw += 1
@@ -355,7 +394,7 @@ def _write_failure_witness(out_dir: str, case: dict, coloring, twin) -> str:
 def _cases_tables(config: SuiteConfig) -> list[dict]:
     cases = []
     for index, entry in enumerate(config.grid):
-        params = {"table": entry["kind"], "n": int(entry["n"]), "r": entry.get("r", "")}
+        params = {"table": entry["kind"], "n": entry["n"], "r": entry.get("r", "")}
         cases.append({"index": index, "seed": derive_seed(config.seed, index), "params": params})
     return cases
 
@@ -366,13 +405,11 @@ def _run_tables(config: SuiteConfig, case: dict) -> CaseRecord:
     r = params["r"]
     try:
         if kind == "coloring":
-            result = exact_F(n, int(r), max_enumerations=config.max_enumerations)
+            result = exact_F(n, r, max_enumerations=config.max_enumerations)
         elif kind == "weak":
             result = exact_F_weak(n, max_enumerations=config.max_enumerations)
-        elif kind == "string":
-            result = exact_F_string(n, int(r), max_enumerations=config.max_enumerations)
         else:
-            raise ConfigError("grid", f"unknown table kind {kind!r}")
+            result = exact_F_string(n, r, max_enumerations=config.max_enumerations)
     except BudgetExceededError as exc:
         return _resource_record(config, case, str(exc))
     value = result.value
@@ -398,7 +435,6 @@ def _run_tables(config: SuiteConfig, case: dict) -> CaseRecord:
 def _table_envelope(kind: str, n: int, r) -> tuple[int, int]:
     """Provable bounds for each table row; rows must land inside them."""
     if kind == "coloring":
-        r = int(r)
         if n < 2:
             return 0, 0
         if r == 1:
@@ -414,9 +450,7 @@ def _table_envelope(kind: str, n: int, r) -> tuple[int, int]:
         if n <= 3:
             return 1, 1
         return max(1, n // 4), n // 2
-    if kind == "string":
-        return 0, n // 2
-    raise ConfigError("grid", f"unknown table kind {kind!r}")
+    return 0, n // 2  # string
 
 
 def _write_table_witness(out_dir: str, kind: str, n: int, r, minimizer) -> str:
@@ -477,11 +511,7 @@ def _cases_twinbound(config: SuiteConfig) -> list[dict]:
     cases = []
     index = 0
     for entry in config.grid:
-        r, m = int(entry["r"]), int(entry["m"])
-        if r < 2 or r % 2 != 0:
-            raise ConfigError("grid", f"composite palette must be even and >= 2, got r={r}")
-        if m < 1:
-            raise ConfigError("grid", f"block count must be positive, got m={m}")
+        r, m = entry["r"], entry["m"]
         for sample in range(config.samples):
             cases.append(
                 {
@@ -500,7 +530,7 @@ def _run_twinbound(config: SuiteConfig, case: dict) -> CaseRecord:
     params = case["params"]
     r, m = params["r"], params["m"]
     spec = random_composite_spec(r, m, case["seed"])
-    coloring = composite_coloring(spec)
+    coloring = spec.coloring
     try:
         size, _ = max_twin(coloring, max_states=config.max_states)
     except BudgetExceededError as exc:
@@ -563,7 +593,7 @@ def _cases_lcs_tail(config: SuiteConfig) -> list[dict]:
     cases = []
     index = 0
     for entry in config.grid:
-        r = int(entry["r"])
+        r = entry["r"]
         for sample in range(config.samples):
             cases.append(
                 {
@@ -603,7 +633,7 @@ def _run_lcs_tail(config: SuiteConfig, case: dict) -> CaseRecord:
 def _cases_blockclaims(config: SuiteConfig) -> list[dict]:
     cases = []
     for index, entry in enumerate(config.grid):
-        params = {"r": int(entry.get("r", 2)), "x": list(entry["x"])}
+        params = {"r": entry.get("r", 2), "x": list(entry["x"])}
         cases.append({"index": index, "seed": derive_seed(config.seed, index), "params": params})
     return cases
 
@@ -658,12 +688,13 @@ def check_block_claims(profile: BlockProfile, max_twins: int) -> tuple[int, list
     and covered-path endpoint equality. Returns (count, violations,
     budget_exceeded).
 
-    Every twin is validated once, by `twin_block_graph`. The claims depend
+    Every twin is validated once, by `twin_block_graph`, which runs
+    `validate_twin` against the profile's coloring; that coloring is built
+    once per profile and also drives the enumeration. The claims depend
     only on the twin's block signature (block-edge set, uncovered blocks),
     so they are evaluated once per signature and each twin reports the
     violations of its signature under its own index lists."""
     letters = profile.x.letters
-    coloring = block_coloring(profile)
     violations: list[str] = []
 
     all_blocks = frozenset(range(1, profile.block_count + 1))
@@ -674,7 +705,7 @@ def check_block_claims(profile: BlockProfile, max_twins: int) -> tuple[int, list
 
     verdicts: dict[tuple[frozenset, frozenset], tuple[str, ...]] = {}
     count = 0
-    for first, second in enumerate_twins(coloring):
+    for first, second in enumerate_twins(profile.coloring):
         count += 1
         if count > max_twins:
             return count, violations, True

@@ -141,6 +141,19 @@ def loop_check_index_lists(n, first, second):
     return VALID
 
 
+def loop_validate_twin(c, twin):
+    """The plain form of `core.validate_twin`: `loop_check_index_lists`,
+    then each step's two edge colors through `EdgeColoring.color`."""
+    verdict = loop_check_index_lists(c.n, twin.first, twin.second)
+    if not verdict:
+        return verdict
+    first, second = twin.first, twin.second
+    for t in range(len(first) - 1):
+        if c.color(first[t], first[t + 1]) != c.color(second[t], second[t + 1]):
+            return Verdict(False, "color_mismatch", t + 1)
+    return VALID
+
+
 def per_twin_block_claims(profile, max_twins):
     """`check_block_claims` with the four claims evaluated on every twin
     from the public `twin_block_graph` and `uncovered_blocks`, no memo."""

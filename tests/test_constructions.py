@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twins import constructions
 from twins.builder import popular_subset
 from twins.constructions import (
     BlockProfile,
@@ -154,6 +155,17 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             decompose_composite_twin(spec, TwinPair((1, 2), (1, 3)))
 
+    def test_coloring_built_once_per_spec(self, monkeypatch):
+        spec = random_composite_spec(4, 3, seed=5)
+        twins = list(enumerate_twins(composite_coloring(spec)))
+        built = []
+        monkeypatch.setattr(
+            constructions, "composite_coloring", lambda s: built.append(s) or composite_coloring(s)
+        )
+        for first, second in twins:
+            decompose_composite_twin(spec, TwinPair(first, second))
+        assert len(twins) > 1 and built == [spec]
+
     @given(seed=st.integers(0, 10**9))
     @settings(max_examples=8, deadline=None)
     def test_partitions_and_h1_intervals(self, seed):
@@ -183,6 +195,23 @@ class TestBlockProfiles:
     def test_skew_sum_heavy_block(self):
         profile = BlockProfile(2, LetterString(2, (2,)))
         assert skew_sum_permutation(profile).values == tuple(range(9, 0, -1))
+
+    def test_empty_profile_rejected(self):
+        with pytest.raises(ValueError, match="profile string must be non-empty"):
+            BlockProfile(2, LetterString(2, ()))
+
+    def test_coloring_built_once_per_profile(self, monkeypatch):
+        profile = BlockProfile(2, LetterString(2, (1, 1)))
+        twins = list(enumerate_twins(block_coloring(profile)))
+        built = []
+        monkeypatch.setattr(
+            constructions, "block_coloring", lambda p: built.append(p) or block_coloring(p)
+        )
+        for first, second in twins:
+            twin_block_graph(profile, TwinPair(first, second))
+            uncovered_blocks(profile, TwinPair(first, second))
+        assert len(twins) == 43 and built == [profile]
+        assert profile.coloring == block_coloring(profile)
 
     def test_block_coloring_colors(self):
         profile = BlockProfile(1, LetterString(1, (1, 1)))

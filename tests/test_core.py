@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_oracles import loop_check_index_lists
+from brute_oracles import loop_check_index_lists, loop_validate_twin
 from twins.core import (
     EMPTY_TWIN,
     EdgeColoring,
@@ -135,6 +135,36 @@ class TestCheckIndexLists:
             assert str(err.value) == str(exc)
         else:
             assert check_index_lists(n, first, second) == expected
+
+
+def _split_in_halves(vals):
+    half = len(vals) // 2
+    return sorted(vals[:half]), sorted(vals[half : 2 * half])
+
+
+# Disjoint increasing lists of equal length, which reach the color checks.
+DISJOINT_LISTS = st.lists(st.integers(1, 12), max_size=12, unique=True).map(_split_in_halves)
+
+
+class TestValidateTwinAgainstLoop:
+    @given(
+        n=st.integers(1, 12),
+        r=st.integers(1, 3),
+        seed=st.integers(0, 10**9),
+        lists=st.one_of(st.tuples(INDEX_LISTS, INDEX_LISTS), DISJOINT_LISTS),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_color_loop(self, n, r, seed, lists):
+        c = random_coloring(n, r, seed)
+        twin = TwinPair(*lists)
+        try:
+            expected = loop_validate_twin(c, twin)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                validate_twin(c, twin)
+            assert str(err.value) == str(exc)
+        else:
+            assert validate_twin(c, twin) == expected
 
 
 class TestCMatching:
@@ -270,6 +300,11 @@ class TestFileFormats:
     def test_twin_json_roundtrip(self):
         twin = TwinPair((1, 3), (2, 4))
         assert twin_from_json(twin_to_json(twin)) == twin
+
+    @pytest.mark.parametrize("text", ["[[1, true], [3, 4]]", "[[1, 2], [false, 4]]"])
+    def test_twin_json_bool_index_rejected(self, text):
+        with pytest.raises(FormatError):
+            twin_from_json(text)
 
     def test_twin_json_malformed(self):
         with pytest.raises(FormatError):

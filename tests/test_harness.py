@@ -304,6 +304,28 @@ class TestCli:
         assert main(["twinbound", "--config", str(path)]) == 2
         assert f"configuration error - {name}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "suite,entry,problem",
+        [
+            ("guarantees", {"n": 40.7, "r": 2}, "n must be an integer >= 1"),
+            ("guarantees", {"n": True, "r": 2}, "n must be an integer >= 1"),
+            ("guarantees", {"n": "12", "r": 2}, "n must be an integer >= 1"),
+            ("guarantees", {"n": 12, "r": 2, "samples": 9}, "unknown key 'samples'"),
+            ("guarantees", {"n": 12, "r": 0}, "r must be an integer >= 1"),
+            ("tables", {"kind": "string", "n": 3}, "missing key 'r'"),
+            ("tables", {"kind": "coloring", "n": 0, "r": 2}, "n must be an integer >= 1"),
+            ("tables", {"kind": "weak", "n": 5, "r": 3}, "unknown key 'r'"),
+            ("blockclaims", {"x": []}, "x must be a non-empty list"),
+            ("blockclaims", {"r": 2, "x": [3]}, "x must be a non-empty list of integers in [1..2]"),
+        ],
+    )
+    def test_bad_grid_entry_exit_code(self, tmp_path, capsys, suite, entry, problem):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"suite": suite, "grid": [{**entry}]}))
+        assert main([suite, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error - grid: entry 0 {entry!r}: {problem}" in err
+
     def test_suite_mismatch_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(tiny_config("twinbound").to_dict()))
