@@ -321,7 +321,7 @@ class TestCli:
     )
     def test_bad_grid_entry_exit_code(self, tmp_path, capsys, suite, entry, problem):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"suite": suite, "grid": [{**entry}]}))
+        path.write_text(json.dumps({"suite": suite, "grid": [entry]}))
         assert main([suite, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"configuration error - grid: entry 0 {entry!r}: {problem}" in err
