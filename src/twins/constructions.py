@@ -114,13 +114,21 @@ class CompositeSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CompositeSpec":
-        r = int(data["r"])
+        r = _json_palette(data)
         return cls(
             r,
             LetterString(r // 2, tuple(data["x"])),
             LetterString(r * r, tuple(data["y"])),
             tuple(Permutation(tuple(v)) for v in data["perms"]),
         )
+
+
+def _json_palette(data: dict) -> int:
+    """The palette `r` of a JSON dict; a float or a bool is rejected, not truncated."""
+    r = data["r"]
+    if not isinstance(r, int) or isinstance(r, bool):
+        raise ValueError(f"r must be an integer, got {r!r}")
+    return r
 
 
 def random_composite_spec(r: int, m: int, seed: int) -> CompositeSpec:
@@ -298,22 +306,13 @@ class BlockProfile:
                 ids[i] = k
         return tuple(ids)
 
-    def block_of(self, i: int) -> int:
-        if not 1 <= i <= self.total:
-            raise ValueError(f"index {i} out of range [1..{self.total}]")
-        return self.block_ids[i]
-
-    def block_members(self, k: int) -> range:
-        if not 1 <= k <= self.block_count:
-            raise ValueError(f"block {k} out of range [1..{self.block_count}]")
-        return range(self.prefix[k - 1] + 1, self.prefix[k] + 1)
-
     def to_json_dict(self) -> dict:
         return {"r": self.r, "x": list(self.x.letters)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BlockProfile":
-        return cls(int(data["r"]), LetterString(int(data["r"]), tuple(data["x"])))
+        r = _json_palette(data)
+        return cls(r, LetterString(r, tuple(data["x"])))
 
 
 def skew_sum_permutation(profile: BlockProfile) -> Permutation:

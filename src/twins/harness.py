@@ -13,10 +13,12 @@ Five suites probe the library end to end:
 * ``blockclaims`` — exhaustive structural checks on the twins of small
   block colorings.
 
-A master seed fans out to per-case seeds by mixing a case counter, so
-appending cases never shifts existing ones; reports are bit-reproducible
-from (config, seed, version). Failing cases carry seed, parameters, and
-witness files, and any case can be re-run alone via ``--replay``.
+Each grid entry is drawn `samples` times. A master seed fans out to
+per-sample seeds by mixing a running sample counter, and every case
+expanded from one sample shares its seed, so appending grid entries never
+shifts existing ones; reports are bit-reproducible from (config, seed,
+version). Failing cases carry seed, parameters, and witness files, and
+any case can be re-run alone via ``--replay``.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ ENV_OUT_DIR = "TWIN_OUT_DIR"
 BLOCKCLAIMS_MAX_TOTAL = 15
 
 SUITE_NAMES = ("guarantees", "tables", "twinbound", "lcs-tail", "blockclaims")
+# Suites whose cases are exhaustive scans: one case per grid entry, no samples.
+_EXHAUSTIVE_SUITES = ("tables", "blockclaims")
 
 
 class ConfigError(ValueError):
@@ -136,6 +140,8 @@ class SuiteConfig:
                 raise ConfigError("grid", f"entry {index} {entry!r}: {problem}")
         if not _is_int(self.samples) or self.samples < 1:
             raise ConfigError("samples", "must be a positive integer")
+        if self.samples != 1 and self.suite in _EXHAUSTIVE_SUITES:
+            raise ConfigError("samples", f"must be 1 for {self.suite}, whose cases draw nothing")
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError("seed", "must be a non-negative integer")
         if self.max_states is not None and (not _is_int(self.max_states) or self.max_states < 1):
@@ -311,26 +317,11 @@ SUITE_CSV_FIELDS = {
 # ---------------------------------------------------------------------------
 
 
-def _cases_guarantees(config: SuiteConfig) -> list[dict]:
-    cases = []
-    index = 0
-    draw = 0
-    for entry in config.grid:
-        n, r = entry["n"], entry["r"]
-        for sample in range(config.samples):
-            seed = derive_seed(config.seed, draw)
-            draw += 1
-            builders = ["general"] + (["binary"] if r == 2 else [])
-            for builder_name in builders:
-                cases.append(
-                    {
-                        "index": index,
-                        "seed": seed,
-                        "params": {"builder": builder_name, "n": n, "r": r, "sample": sample},
-                    }
-                )
-                index += 1
-    return cases
+def _params_guarantees(entry: dict, sample: int) -> list[dict]:
+    """One case per builder: `general` always, `binary` too for r = 2."""
+    n, r = entry["n"], entry["r"]
+    builders = ["general", "binary"] if r == 2 else ["general"]
+    return [{"builder": builder, "n": n, "r": r, "sample": sample} for builder in builders]
 
 
 @functools.lru_cache(maxsize=1)
@@ -362,18 +353,7 @@ def _run_guarantees(config: SuiteConfig, case: dict) -> CaseRecord:
         detail = f"size={twin.size} valid={bool(verdict)} reason={verdict.reason}"
         if config.out_dir:
             witness_file = _write_failure_witness(config.out_dir, case, coloring, twin)
-    return CaseRecord(
-        case_id=_case_id(config.suite, case["index"]),
-        index=case["index"],
-        params=params,
-        seed=case["seed"],
-        value=twin.size,
-        bound=bound,
-        passed=passed,
-        kind="assert",
-        detail=detail,
-        witness_file=witness_file,
-    )
+    return _record(config, case, twin.size, bound, passed, detail=detail, witness_file=witness_file)
 
 
 def _write_failure_witness(out_dir: str, case: dict, coloring, twin) -> str:
@@ -391,12 +371,8 @@ def _write_failure_witness(out_dir: str, case: dict, coloring, twin) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cases_tables(config: SuiteConfig) -> list[dict]:
-    cases = []
-    for index, entry in enumerate(config.grid):
-        params = {"table": entry["kind"], "n": entry["n"], "r": entry.get("r", "")}
-        cases.append({"index": index, "seed": derive_seed(config.seed, index), "params": params})
-    return cases
+def _params_tables(entry: dict, sample: int) -> list[dict]:
+    return [{"table": entry["kind"], "n": entry["n"], "r": entry.get("r", "")}]
 
 
 def _run_tables(config: SuiteConfig, case: dict) -> CaseRecord:
@@ -418,18 +394,9 @@ def _run_tables(config: SuiteConfig, case: dict) -> CaseRecord:
     witness_file = ""
     if config.out_dir:
         witness_file = _write_table_witness(config.out_dir, kind, n, r, result.minimizer)
-    return CaseRecord(
-        case_id=_case_id(config.suite, case["index"]),
-        index=case["index"],
-        params=params,
-        seed=case["seed"],
-        value=value,
-        bound=f"[{lo},{hi}]",
-        passed=passed,
-        kind="assert",
-        detail="" if passed else f"value {value} outside envelope [{lo},{hi}]",
-        witness_file=witness_file,
-    )
+    detail = "" if passed else f"value {value} outside envelope [{lo},{hi}]"
+    bound = f"[{lo},{hi}]"
+    return _record(config, case, value, bound, passed, detail=detail, witness_file=witness_file)
 
 
 def _table_envelope(kind: str, n: int, r) -> tuple[int, int]:
@@ -485,19 +452,10 @@ def _post_tables(config: SuiteConfig, records: list[CaseRecord]) -> list[CaseRec
         if weak is None:
             continue
         passed = value <= weak
-        extra.append(
-            CaseRecord(
-                case_id=_case_id(config.suite, index),
-                index=index,
-                params={"table": "compare", "n": n, "r": 2},
-                seed=config.seed,
-                value=f"{value}<={weak}",
-                bound="coloring<=weak",
-                passed=passed,
-                kind="assert",
-                detail="" if passed else f"F({n},2)={value} exceeds weak minimum {weak}",
-            )
-        )
+        case = {"index": index, "seed": config.seed, "params": {"table": "compare", "n": n, "r": 2}}
+        detail = "" if passed else f"F({n},2)={value} exceeds weak minimum {weak}"
+        value_text = f"{value}<={weak}"
+        extra.append(_record(config, case, value_text, "coloring<=weak", passed, detail=detail))
         index += 1
     return extra
 
@@ -507,21 +465,8 @@ def _post_tables(config: SuiteConfig, records: list[CaseRecord]) -> list[CaseRec
 # ---------------------------------------------------------------------------
 
 
-def _cases_twinbound(config: SuiteConfig) -> list[dict]:
-    cases = []
-    index = 0
-    for entry in config.grid:
-        r, m = entry["r"], entry["m"]
-        for sample in range(config.samples):
-            cases.append(
-                {
-                    "index": index,
-                    "seed": derive_seed(config.seed, index),
-                    "params": {"r": r, "m": m, "sample": sample},
-                }
-            )
-            index += 1
-    return cases
+def _params_twinbound(entry: dict, sample: int) -> list[dict]:
+    return [{"r": entry["r"], "m": entry["m"], "sample": sample}]
 
 
 def _run_twinbound(config: SuiteConfig, case: dict) -> CaseRecord:
@@ -571,17 +516,8 @@ def _run_twinbound(config: SuiteConfig, case: dict) -> CaseRecord:
         if len(problems) >= 5:
             break
     passed = not problems
-    return CaseRecord(
-        case_id=_case_id(config.suite, case["index"]),
-        index=case["index"],
-        params=params,
-        seed=case["seed"],
-        value=size,
-        bound=rhs,
-        passed=passed,
-        kind="assert",
-        detail="" if passed else "; ".join(problems[:5]) + f" (twins checked: {checked})",
-    )
+    detail = "" if passed else "; ".join(problems[:5]) + f" (twins checked: {checked})"
+    return _record(config, case, size, rhs, passed, detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -589,40 +525,18 @@ def _run_twinbound(config: SuiteConfig, case: dict) -> CaseRecord:
 # ---------------------------------------------------------------------------
 
 
-def _cases_lcs_tail(config: SuiteConfig) -> list[dict]:
-    cases = []
-    index = 0
-    for entry in config.grid:
-        r = entry["r"]
-        for sample in range(config.samples):
-            cases.append(
-                {
-                    "index": index,
-                    "seed": derive_seed(config.seed, index),
-                    "params": {"r": r, "sample": sample},
-                }
-            )
-            index += 1
-    return cases
+def _params_lcs_tail(entry: dict, sample: int) -> list[dict]:
+    return [{"r": entry["r"], "sample": sample}]
 
 
 def _run_lcs_tail(config: SuiteConfig, case: dict) -> CaseRecord:
-    params = case["params"]
-    r = params["r"]
+    r = case["params"]["r"]
     p1, p2 = random_permutation_pair(r, case["seed"])
     value = lcs_length(p1, p2)
     exceeded = value * value > 9 * r  # lcs > 3*sqrt(r), exact in integers
-    return CaseRecord(
-        case_id=_case_id(config.suite, case["index"]),
-        index=case["index"],
-        params=params,
-        seed=case["seed"],
-        value="exceeded" if exceeded else value,
-        bound=f"3*sqrt({r})",
-        passed=None,
-        kind="probe",
-        detail=f"lcs={value}" if exceeded else "",
-    )
+    if exceeded:
+        return _record(config, case, "exceeded", f"3*sqrt({r})", None, "probe", f"lcs={value}")
+    return _record(config, case, value, f"3*sqrt({r})", None, "probe")
 
 
 # ---------------------------------------------------------------------------
@@ -630,56 +544,28 @@ def _run_lcs_tail(config: SuiteConfig, case: dict) -> CaseRecord:
 # ---------------------------------------------------------------------------
 
 
-def _cases_blockclaims(config: SuiteConfig) -> list[dict]:
-    cases = []
-    for index, entry in enumerate(config.grid):
-        params = {"r": entry.get("r", 2), "x": list(entry["x"])}
-        cases.append({"index": index, "seed": derive_seed(config.seed, index), "params": params})
-    return cases
+def _block_profile(params: dict) -> BlockProfile:
+    return BlockProfile(params["r"], LetterString(params["r"], tuple(params["x"])))
+
+
+def _params_blockclaims(entry: dict, sample: int) -> list[dict]:
+    params = {"r": entry.get("r", 2), "x": list(entry["x"])}
+    return [{**params, "total": _block_profile(params).total}]
 
 
 def _run_blockclaims(config: SuiteConfig, case: dict) -> CaseRecord:
-    params = case["params"]
-    profile = BlockProfile(params["r"], LetterString(params["r"], tuple(params["x"])))
-    case_id = _case_id(config.suite, case["index"])
+    profile = _block_profile(case["params"])
     if profile.total > BLOCKCLAIMS_MAX_TOTAL:
-        return CaseRecord(
-            case_id=case_id,
-            index=case["index"],
-            params={**params, "total": profile.total},
-            seed=case["seed"],
-            value="",
-            bound=BLOCKCLAIMS_MAX_TOTAL,
-            passed=None,
-            kind="resource",
-            detail=f"profile size {profile.total} exceeds the allowlist "
-            f"(L <= {BLOCKCLAIMS_MAX_TOTAL})",
-        )
+        detail = (f"profile size {profile.total} exceeds the allowlist "
+                  f"(L <= {BLOCKCLAIMS_MAX_TOTAL})")
+        return _record(config, case, "", BLOCKCLAIMS_MAX_TOTAL, None, "resource", detail)
     count, violations, exceeded = check_block_claims(profile, config.max_enumerations)
     if exceeded:
-        return CaseRecord(
-            case_id=case_id,
-            index=case["index"],
-            params={**params, "total": profile.total},
-            seed=case["seed"],
-            value=count,
-            bound=config.max_enumerations,
-            passed=None,
-            kind="resource",
-            detail=f"twin enumeration exceeds the budget ({config.max_enumerations})",
-        )
+        detail = f"twin enumeration exceeds the budget ({config.max_enumerations})"
+        return _record(config, case, count, config.max_enumerations, None, "resource", detail)
     passed = not violations
-    return CaseRecord(
-        case_id=case_id,
-        index=case["index"],
-        params={**params, "total": profile.total},
-        seed=case["seed"],
-        value=count,
-        bound=0,
-        passed=passed,
-        kind="assert",
-        detail="" if passed else "; ".join(violations[:5]),
-    )
+    detail = "" if passed else "; ".join(violations[:5])
+    return _record(config, case, count, 0, passed, detail=detail)
 
 
 def check_block_claims(profile: BlockProfile, max_twins: int) -> tuple[int, list[str], bool]:
@@ -755,32 +641,48 @@ def _note(violations: list[str], message: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+# Per suite: the params of each sample's cases, the case runner, and the
+# cross-case check run after every case (or None).
 _SUITES = {
-    "guarantees": (_cases_guarantees, _run_guarantees, None),
-    "tables": (_cases_tables, _run_tables, _post_tables),
-    "twinbound": (_cases_twinbound, _run_twinbound, None),
-    "lcs-tail": (_cases_lcs_tail, _run_lcs_tail, None),
-    "blockclaims": (_cases_blockclaims, _run_blockclaims, None),
+    "guarantees": (_params_guarantees, _run_guarantees, None),
+    "tables": (_params_tables, _run_tables, _post_tables),
+    "twinbound": (_params_twinbound, _run_twinbound, None),
+    "lcs-tail": (_params_lcs_tail, _run_lcs_tail, None),
+    "blockclaims": (_params_blockclaims, _run_blockclaims, None),
 }
+
+
+def _cases(config: SuiteConfig, params_of) -> list[dict]:
+    """Every case of the grid, in index order.
+
+    Each grid entry is drawn `config.samples` times. A sample's seed mixes
+    the running sample counter `draw` into the master seed, and every case
+    that `params_of(entry, sample)` expands the sample into shares it.
+    """
+    cases = []
+    samples = itertools.product(config.grid, range(config.samples))
+    for draw, (entry, sample) in enumerate(samples):
+        seed = derive_seed(config.seed, draw)
+        for params in params_of(entry, sample):
+            cases.append({"index": len(cases), "seed": seed, "params": params})
+    return cases
 
 
 def _case_id(suite: str, index: int) -> str:
     return f"{suite}-{index:05d}"
 
 
+def _record(config: SuiteConfig, case: dict, value, bound, passed: bool | None,
+            kind: str = "assert", detail: str = "", witness_file: str = "") -> CaseRecord:
+    """The report record of `case`; every suite builds its records here."""
+    index = case["index"]
+    return CaseRecord(_case_id(config.suite, index), index, case["params"], case["seed"],
+                      value, bound, passed, kind, detail, witness_file)
+
+
 def _resource_record(config: SuiteConfig, case: dict, detail: str) -> CaseRecord:
     """A case stopped by a budget or the time limit: no value, no verdict."""
-    return CaseRecord(
-        case_id=_case_id(config.suite, case["index"]),
-        index=case["index"],
-        params=case["params"],
-        seed=case["seed"],
-        value="",
-        bound="",
-        passed=None,
-        kind="resource",
-        detail=detail,
-    )
+    return _record(config, case, "", "", None, "resource", detail)
 
 
 def _pool_run_case(payload):
@@ -798,8 +700,8 @@ def run_suite(config: SuiteConfig, only_case: str | None = None) -> RunReport:
     every case it may read.
     """
     config.validate()
-    build_cases, run_case, post = _SUITES[config.suite]
-    cases = build_cases(config)
+    params_of, run_case, post = _SUITES[config.suite]
+    cases = _cases(config, params_of)
     if only_case is not None:
         selected = [c for c in cases if _case_id(config.suite, c["index"]) == only_case]
         if selected or post is None:

@@ -127,6 +127,12 @@ class TestCompositeColoring:
         data = json.loads(json.dumps(spec.to_json_dict()))
         assert CompositeSpec.from_json_dict(data) == spec
 
+    @pytest.mark.parametrize("r", [4.5, 4.0, True, "4"])
+    def test_spec_json_non_integer_palette_rejected(self, r):
+        data = {**random_composite_spec(4, 2, seed=1).to_json_dict(), "r": r}
+        with pytest.raises(ValueError, match="r must be an integer"):
+            CompositeSpec.from_json_dict(data)
+
     @given(seed=st.integers(0, 10**9))
     @settings(max_examples=10, deadline=None)
     def test_twin_bound(self, seed):
@@ -195,6 +201,18 @@ class TestBlockProfiles:
     def test_skew_sum_heavy_block(self):
         profile = BlockProfile(2, LetterString(2, (2,)))
         assert skew_sum_permutation(profile).values == tuple(range(9, 0, -1))
+
+    def test_json_roundtrip(self):
+        profile = BlockProfile(2, LetterString(2, (1, 2)))
+        data = json.loads(json.dumps(profile.to_json_dict()))
+        assert BlockProfile.from_json_dict(data) == profile
+
+    @pytest.mark.parametrize(
+        "data", [{"r": 2.9, "x": [1, 2]}, {"r": True, "x": [1]}, {"r": 2.0, "x": [1]}]
+    )
+    def test_json_non_integer_palette_rejected(self, data):
+        with pytest.raises(ValueError, match="r must be an integer"):
+            BlockProfile.from_json_dict(data)
 
     def test_empty_profile_rejected(self):
         with pytest.raises(ValueError, match="profile string must be non-empty"):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -68,6 +69,13 @@ class TestConfig:
             run_suite(config)
         assert err.value.field_name == "max_states"
 
+    @pytest.mark.parametrize("suite", ["tables", "blockclaims"])
+    def test_samples_rejected_where_exhaustive(self, suite):
+        config = tiny_config(suite, samples=3)
+        with pytest.raises(ConfigError) as err:
+            run_suite(config)
+        assert err.value.field_name == "samples"
+
     def test_json_file_roundtrip(self, tmp_path):
         config = tiny_config("twinbound")
         path = tmp_path / "cfg.json"
@@ -133,6 +141,67 @@ class TestReports:
         # single-element permutations always have LCS 1 <= 3*sqrt(1)
         report = run_suite(SuiteConfig("lcs-tail", [{"r": 1}], samples=3, seed=7))
         assert [c.value for c in report.cases] == [1, 1, 1]
+
+
+# Multi-entry configs and the sha256 of their report JSON. A sample's seed
+# mixes a counter that runs across grid entries, so a counter reset per
+# entry, or per case instead of per sample, changes these digests. The
+# guarantees grid interleaves one-case (r = 3) and two-case (r = 2) samples.
+FAN_OUT_PINS = {
+    "guarantees": (
+        SuiteConfig(
+            "guarantees",
+            [{"n": 12, "r": 3}, {"n": 14, "r": 2}, {"n": 10, "r": 3}],
+            samples=2,
+            seed=7,
+        ),
+        "82807a5101e3b838a852632c85d48b63efcd535519e0f04d25083990128f318e",
+    ),
+    "tables": (
+        SuiteConfig(
+            "tables",
+            [
+                {"kind": "coloring", "n": 4, "r": 2},
+                {"kind": "weak", "n": 4},
+                {"kind": "string", "n": 5, "r": 2},
+            ],
+            seed=7,
+        ),
+        "b20738b0bf3bb07d83481875785f1afa455234fe27bc304d1f25dd254b49a5a5",
+    ),
+    "twinbound": (
+        SuiteConfig("twinbound", [{"r": 2, "m": 2}, {"r": 4, "m": 2}], samples=2, seed=7),
+        "78bb45bf7f19d5a3c23bae60aba76c640b7a1b4587a0f04a24eab52b57ada605",
+    ),
+    "lcs-tail": (
+        SuiteConfig("lcs-tail", [{"r": 9}, {"r": 16}], samples=3, seed=7),
+        "dbe2911af3647bfce92dfcbabe9c3d156d814f79c984b811d26de9b5861c7474",
+    ),
+    "blockclaims": (
+        SuiteConfig(
+            "blockclaims", [{"x": [1]}, {"r": 2, "x": [2, 2]}, {"r": 2, "x": [1, 2]}], seed=7
+        ),
+        "24a336a333e7dabd3cc0683452f50e3f99528a931c4cd3477f37723d6927fcb8",
+    ),
+}
+
+
+class TestSeedFanOut:
+    @pytest.mark.parametrize("suite", sorted(FAN_OUT_PINS))
+    def test_report_pinned(self, suite):
+        config, digest = FAN_OUT_PINS[suite]
+        report = run_suite(config)
+        assert hashlib.sha256(report.to_json_text().encode()).hexdigest() == digest
+
+    def test_sample_cases_share_seed(self):
+        config = FAN_OUT_PINS["guarantees"][0]
+        report = run_suite(config)
+        seeds = {}
+        for case in report.cases:
+            key = (case.params["n"], case.params["r"], case.params["sample"])
+            seeds.setdefault(key, set()).add(case.seed)
+        assert len(seeds) == 6 and all(len(s) == 1 for s in seeds.values())
+        assert len({s for group in seeds.values() for s in group}) == 6
 
 
 class TestGuaranteesSuite:
