@@ -63,8 +63,6 @@ ENV_OUT_DIR = "TWIN_OUT_DIR"
 BLOCKCLAIMS_MAX_TOTAL = 15
 
 SUITE_NAMES = ("guarantees", "tables", "twinbound", "lcs-tail", "blockclaims")
-# Suites whose cases are exhaustive scans: one case per grid entry, no samples.
-_EXHAUSTIVE_SUITES = ("tables", "blockclaims")
 
 
 class ConfigError(ValueError):
@@ -140,8 +138,8 @@ class SuiteConfig:
                 raise ConfigError("grid", f"entry {index} {entry!r}: {problem}")
         if not _is_int(self.samples) or self.samples < 1:
             raise ConfigError("samples", "must be a positive integer")
-        if self.samples != 1 and self.suite in _EXHAUSTIVE_SUITES:
-            raise ConfigError("samples", f"must be 1 for {self.suite}, whose cases draw nothing")
+        if self.samples != 1 and self.suite in ("tables", "blockclaims"):
+            raise ConfigError("samples", f"must be 1 for {self.suite}, whose cases are exhaustive")
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError("seed", "must be a non-negative integer")
         if self.max_states is not None and (not _is_int(self.max_states) or self.max_states < 1):
