@@ -48,6 +48,7 @@ from .core import EMPTY_TWIN, EdgeColoring, TwinPair, twin_to_json, validate_twi
 from .oracle import (
     DEFAULT_MAX_ENUMERATIONS,
     BudgetExceededError,
+    _run_shards,
     enumerate_twins,
     exact_F,
     exact_F_string,
@@ -152,6 +153,8 @@ class SuiteConfig:
             or not self.time_limit > 0  # also false for NaN, which no deadline passes
         ):
             raise ConfigError("time_limit", "must be a positive number")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ConfigError("out_dir", "must be a directory path")
         if not _is_int(self.jobs) or self.jobs < 1:
             raise ConfigError("jobs", "must be a positive integer")
         if self.time_limit is not None and self.jobs > 1:
@@ -168,8 +171,9 @@ class SuiteConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown configuration field")
-        if "suite" not in data:
-            raise ConfigError("suite", "missing")
+        for name in ("suite", "grid"):
+            if name not in data:
+                raise ConfigError(name, "missing")
         return cls(**data)
 
     @classmethod
@@ -706,11 +710,8 @@ def run_suite(config: SuiteConfig, only_case: str | None = None) -> RunReport:
             cases, post = selected, None
     report = RunReport(config.suite, VERSION, config.seed, config.to_dict())
     if config.jobs > 1 and len(cases) > 1:
-        import multiprocessing
-
         payloads = [(config.suite, config.to_dict(), case) for case in cases]
-        with multiprocessing.Pool(processes=config.jobs) as pool:
-            records = pool.map(_pool_run_case, payloads)
+        records = _run_shards(_pool_run_case, payloads, config.jobs)
     else:
         records = []
         started = time.monotonic()

@@ -6,10 +6,9 @@ the smaller chain end and the used indices from it up: a fresh pick for
 the trailing chain can only collide with those (everything else used lies
 below it), so the key is a complete description of the remaining search.
 An optional cap ends the whole search once a twin of that size is found,
-so every stored value stays exact. The *plain* engine, keyed by the whole
-used-index set and both ends, is simple and exponential: it is the
-correctness oracle, checked against the core by the test and acceptance
-suites. Both engines share one witness replay, `_replay`.
+so every stored value stays exact. A run capped at the maximum records
+the path that reaches it, which is the witness. The plain engine keyed by
+the whole used-index set lives in the tests as the independent checker.
 
 Strings have one search too, the capped scan `_capped_string_max` over
 (position, queue) states; `max_string_twin` takes its size and witness
@@ -66,67 +65,30 @@ def _always(i: int, j: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _plain_search(
-    n: int, step: StepPredicate, start: StartPredicate = _always
-) -> tuple[int, tuple[int, int] | None, dict]:
-    """(size, start pair, memo) of a memoized recursion keyed by (used-index
-    mask, a, b): simple and exponential, the correctness oracle."""
-    memo: dict = {}
-    if n < 2:
-        return 0, None, memo
-
-    def rec(mask: int, a: int, b: int) -> int:
-        key = (mask, a, b)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        best = 0
-        for p in range(a + 1, n + 1):
-            if mask >> p & 1:
-                continue
-            pbit = 1 << p
-            for q in range(b + 1, n + 1):
-                if q == p or mask >> q & 1:
-                    continue
-                if step(a, p, b, q):
-                    lo, hi = (p, q) if p < q else (q, p)
-                    v = 1 + rec(mask | pbit | (1 << q), lo, hi)
-                    if v > best:
-                        best = v
-        memo[key] = best
-        return best
-
-    best_size = 0
-    best_start = None
-    for i in range(1, n):
-        ibit = 1 << i
-        for j in range(i + 1, n + 1):
-            if start(i, j):
-                v = 1 + rec(ibit | (1 << j), i, j)
-                if v > best_size:
-                    best_size, best_start = v, (i, j)
-    return best_size, best_start, memo
-
-
 def _compressed_max(
     n: int,
     step: StepPredicate,
     cap: int | None = None,
     start: StartPredicate = _always,
     max_states: int | None = None,
-) -> tuple[int, tuple[int, int] | None, dict]:
-    """(min(max twin size, cap), start pair, memo) of the compressed engine.
+    path: list[tuple[int, int]] | None = None,
+) -> tuple[int, dict]:
+    """(min(max twin size, cap), memo) of the compressed engine.
 
     A state is the chain ends a < b and the mask of used indices, all of
     them <= b; only those from a up can collide with a fresh pick, so the
     memo key is (a, mask >> a). With a cap, a branch returns as soon as
     its size reaches the cap, without memoizing that lower bound: every
     caller up the stack returns at once too, so every stored value is exact.
+    If the cap is reached and `path` is a list, each frame on the way back
+    appends its picks (p, q), p for the chain ending at a, and the start
+    loop appends (i, j); a memo hit that would reach the cap has no path,
+    so it is searched again.
     """
     memo: dict = {}
     limit = n if cap is None else cap
     if n < 2 or limit <= 0:
-        return 0, None, memo
+        return 0, memo
     # A state one step below the cap returns at its first extension or has
     # none, so it is neither looked up nor stored. Without a cap no size
     # reaches it for n >= 3 (a twin has at most n // 2 pairs).
@@ -138,10 +100,11 @@ def _compressed_max(
         key = (a, mask >> a)
         if size < last:
             cached = memo.get(key)
-            if cached is not None:
+            if cached is None:
+                if max_states is not None and len(memo) >= max_states:
+                    raise BudgetExceededError("search states", len(memo) + 1, max_states)
+            elif path is None or size + cached < limit:
                 return cached
-            if max_states is not None and len(memo) >= max_states:
-                raise BudgetExceededError("search states", len(memo) + 1, max_states)
         best = 0
         qs = range(b + 1, n + 1)  # empty once b = n: no pick is left
         for p in range(a + 1, n + 1) if qs else ():
@@ -157,72 +120,48 @@ def _compressed_max(
                     if v > best:
                         best = v
                         if size + v >= limit:
+                            if path is not None:
+                                path.append((p, q))
                             return v
         if size < last:
             memo[key] = best
         return best
 
     best_size = 0
-    best_start = None
     for i in range(1, n):
         for j in range(i + 1, n + 1):
             if start(i, j):
                 v = 1 + rec(i, j, 1 << i | 1 << j, 1)
                 if v > best_size:
-                    best_size, best_start = v, (i, j)
+                    best_size = v
                     if v >= limit:
-                        return limit, best_start, memo
-    return best_size, best_start, memo
-
-
-def _replay(
-    n: int,
-    step: StepPredicate,
-    size: int,
-    start_pair: tuple[int, int] | None,
-    value: Callable[[int, int, int], int | None],
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The witness of a memoized search: from the best start, take at each
-    step the first extension, in search order, whose state has the value
-    value(used-index mask, lo, hi) = the number of steps still to go."""
-    if not size:
-        return (), ()
-    chain1, chain2 = [start_pair[0]], [start_pair[1]]
-    mask = 1 << start_pair[0] | 1 << start_pair[1]
-    for remaining in range(size - 2, -1, -1):
-        a, b = chain1[-1], chain2[-1]
-        p, q = next(
-            (
-                (p, q)
-                for p in range(a + 1, n + 1)
-                if not mask >> p & 1
-                for q in range(b + 1, n + 1)
-                if q != p
-                and not mask >> q & 1
-                and step(a, p, b, q)
-                and value(mask | 1 << p | 1 << q, min(p, q), max(p, q)) == remaining
-            ),
-            (0, 0),
-        )
-        if not p:
-            raise RuntimeError("witness replay failed")
-        chain1.append(p)
-        chain2.append(q)
-        mask |= 1 << p | 1 << q
-    return tuple(chain1), tuple(chain2)
+                        if path is not None:
+                            path.append((i, j))
+                        return limit, memo
+    return best_size, memo
 
 
 def _maximize(
-    n: int, step: StepPredicate, engine: str, max_states: int | None = None
+    n: int, step: StepPredicate, max_states: int | None = None
 ) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Exact maximum twin size under `step` with a witness, by either engine."""
-    if engine == "plain":
-        size, pair, memo = _plain_search(n, step)
-        return size, _replay(n, step, size, pair, lambda mask, lo, hi: memo.get((mask, lo, hi)))
-    if engine == "compressed":
-        size, pair, memo = _compressed_max(n, step, max_states=max_states)
-        return size, _replay(n, step, size, pair, lambda mask, lo, hi: memo.get((lo, mask >> lo)))
-    raise ValueError(f"unknown engine {engine!r}")
+    """Exact maximum twin size under `step` with a witness.
+
+    The uncapped core gives the size; a second run, capped at the size,
+    records the path of a search that reaches it. Both runs store at most
+    the states of the uncapped one, so `max_states` binds each alike. The
+    core extends the chain with the smaller end by p, so each step of the
+    reversed path gives p to the chain whose last index is lower.
+    """
+    size = _compressed_max(n, step, max_states=max_states)[0]
+    path: list[tuple[int, int]] = []
+    _compressed_max(n, step, size, max_states=max_states, path=path)
+    chain1: list[int] = []
+    chain2: list[int] = []
+    for p, q in reversed(path):
+        low, high = (chain1, chain2) if not chain1 or chain1[-1] < chain2[-1] else (chain2, chain1)
+        low.append(p)
+        high.append(q)
+    return size, (tuple(chain1), tuple(chain2))
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +178,12 @@ def _coloring_step(c: EdgeColoring) -> StepPredicate:
     return step
 
 
-def max_twin(
-    c: EdgeColoring, engine: str = "compressed", max_states: int | None = None
-) -> tuple[int, TwinPair]:
-    """Exact maximum twin size of c with one witness.
-
-    The plain engine is practical to roughly n <= 16; the compressed
-    engine reaches somewhat further. Returns (0, empty twin) for n < 2.
+def max_twin(c: EdgeColoring, max_states: int | None = None) -> tuple[int, TwinPair]:
+    """Exact maximum twin size of c with one witness, by the compressed
+    core. `max_states` bounds its memo; a search that needs more states
+    raises BudgetExceededError. Returns (0, empty twin) for n < 2.
     """
-    size, (first, second) = _maximize(c.n, _coloring_step(c), engine, max_states)
+    size, (first, second) = _maximize(c.n, _coloring_step(c), max_states)
     return size, (TwinPair(first, second) if size else EMPTY_TWIN)
 
 
@@ -260,11 +196,9 @@ def _weak_step(pi: Permutation) -> StepPredicate:
     return step
 
 
-def max_weak_twin(
-    pi: Permutation, engine: str = "compressed"
-) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+def max_weak_twin(pi: Permutation) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
     """Exact maximum weak-twin size, comparing permutation values directly."""
-    return _maximize(pi.n, _weak_step(pi), engine)
+    return _maximize(pi.n, _weak_step(pi))
 
 
 def max_string_twin(

@@ -5,6 +5,9 @@ with the package's search engines; they are only practical for tiny
 instances. A twin's prefix is itself a twin, so each maximizer walks
 sizes upward and stops at the first miss.
 
+`plain_max` is the plain synchronized-pair engine, keyed by the whole
+used-index mask and both chain ends: the independent checker of the
+package's compressed core, sharing only the step predicate with it.
 `core_string_max` is the string path independent of the string scan:
 the package's synchronized-pair core driven by letter-equality
 predicates.
@@ -19,7 +22,7 @@ from itertools import combinations, permutations, product
 
 from twins.constructions import block_coloring, twin_block_graph, uncovered_blocks
 from twins.core import EMPTY_TWIN, VALID, EdgeColoring, TwinPair, Verdict
-from twins.oracle import _compressed_max, enumerate_twins, max_twin, max_weak_twin
+from twins.oracle import _coloring_step, _compressed_max, _weak_step, enumerate_twins
 from twins.sequences import Permutation
 
 
@@ -63,6 +66,33 @@ def brute_max_string_twin(x):
             break
         best = size
     return best
+
+
+def plain_max(n, step):
+    """Maximum twin size under `step` by a memoized recursion keyed by
+    (used-index mask, a, b): simple and exponential."""
+    memo = {}
+
+    def rec(mask, a, b):
+        key = (mask, a, b)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        best = 0
+        for p in range(a + 1, n + 1):
+            if mask >> p & 1:
+                continue
+            for q in range(b + 1, n + 1):
+                if q != p and not mask >> q & 1 and step(a, p, b, q):
+                    lo, hi = (p, q) if p < q else (q, p)
+                    best = max(best, 1 + rec(mask | 1 << p | 1 << q, lo, hi))
+        memo[key] = best
+        return best
+
+    return max(
+        (1 + rec(1 << i | 1 << j, i, j) for i in range(1, n) for j in range(i + 1, n + 1)),
+        default=0,
+    )
 
 
 def core_string_max(letters):
@@ -195,19 +225,19 @@ def per_twin_block_claims(profile, max_twins):
 
 
 def full_scan_colorings(n, r):
-    """`exact_F`'s space without pruning: (colors, plain-engine max_twin)
+    """`exact_F`'s space without pruning: (colors, plain-engine max twin)
     for every r-coloring of K_n in counter order (last edge fastest)."""
     return [
-        (colors, max_twin(EdgeColoring(n, r, colors), engine="plain")[0])
+        (colors, plain_max(n, _coloring_step(EdgeColoring(n, r, colors))))
         for colors in product(range(1, r + 1), repeat=n * (n - 1) // 2)
     ]
 
 
 def full_scan_permutations(n):
-    """`exact_F_weak`'s space without pruning: (values, plain-engine
-    max_weak_twin) for every permutation of [n] in lexicographic order."""
+    """`exact_F_weak`'s space without pruning: (values, plain-engine max
+    weak twin) for every permutation of [n] in lexicographic order."""
     return [
-        (values, max_weak_twin(Permutation(values), engine="plain")[0])
+        (values, plain_max(n, _weak_step(Permutation(values))))
         for values in permutations(range(1, n + 1))
     ]
 

@@ -10,6 +10,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import time
 from itertools import permutations, product
 
+from brute_oracles import plain_max
 from twins.constructions import random_coloring
 from twins.harness import (
     DEFAULT_SEED,
@@ -17,7 +18,13 @@ from twins.harness import (
     default_config,
     run_suite,
 )
-from twins.oracle import enumerate_twins, max_string_twin, max_twin, max_weak_twin
+from twins.oracle import (
+    _coloring_step,
+    enumerate_twins,
+    max_string_twin,
+    max_twin,
+    max_weak_twin,
+)
 from twins.reductions import coloring_from_permutation, coloring_from_string
 from twins.rng import Rng, derive_seed
 from twins.sequences import LetterString, Permutation, validate_string_twin
@@ -158,7 +165,7 @@ def test_criterion_06_engine_equivalence():
         n = rng.randint(4, 10)
         r = 2 + index % 2
         c = random_coloring(n, r, rng.next_u64())
-        if max_twin(c, engine="plain")[0] != max_twin(c, engine="compressed")[0]:
+        if plain_max(n, _coloring_step(c)) != max_twin(c)[0]:
             mismatches += 1
     elapsed = time.monotonic() - start
     ok = mismatches == 0 and elapsed < 300

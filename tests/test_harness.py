@@ -355,6 +355,12 @@ class TestCli:
         path.write_text(json.dumps({"suite": "tables", "grid": []}))
         assert main(["tables", "--config", str(path)]) == 2
 
+    def test_missing_grid_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"suite": "tables"}))
+        assert main(["tables", "--config", str(path)]) == 2
+        assert "configuration error - grid: missing" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "name,value",
         [
@@ -365,6 +371,7 @@ class TestCli:
             ("time_limit", "5"),
             ("time_limit", float("nan")),
             ("jobs", True),
+            ("out_dir", 5),
         ],
     )
     def test_mistyped_field_exit_code(self, tmp_path, capsys, name, value):

@@ -14,6 +14,7 @@ from brute_oracles import (
     full_scan_colorings,
     full_scan_permutations,
     full_scan_strings,
+    plain_max,
 )
 from twins.constructions import random_coloring, random_permutation, random_string
 from twins.core import EdgeColoring, relabel_palette, validate_twin
@@ -63,26 +64,22 @@ class TestMaxTwin:
     def test_degenerate(self):
         assert max_twin(EdgeColoring.monochromatic(1))[0] == 0
 
-    def test_unknown_engine(self):
-        with pytest.raises(ValueError):
-            max_twin(EdgeColoring.monochromatic(4), engine="psychic")
-
     @given(seed=st.integers(0, 10**9), n=st.integers(4, 7), r=st.integers(2, 3))
     @settings(max_examples=50, deadline=None)
     def test_engines_match_brute_force(self, seed, n, r):
         c = random_coloring(n, r, seed)
         expected = brute_max_twin(c)
-        for engine in ("plain", "compressed"):
-            size, witness = max_twin(c, engine=engine)
-            assert size == expected
-            assert validate_twin(c, witness).ok
-            assert witness.size == size
+        assert plain_max(n, _coloring_step(c)) == expected
+        size, witness = max_twin(c)
+        assert size == expected
+        assert validate_twin(c, witness).ok
+        assert witness.size == size
 
     @given(seed=st.integers(0, 10**9), n=st.integers(8, 10))
     @settings(max_examples=30, deadline=None)
     def test_engine_equivalence_larger(self, seed, n):
         c = random_coloring(n, 2, seed)
-        assert max_twin(c, engine="plain")[0] == max_twin(c, engine="compressed")[0]
+        assert plain_max(n, _coloring_step(c)) == max_twin(c)[0]
 
     def test_state_budget(self):
         c = random_coloring(12, 2, 5)
@@ -90,6 +87,34 @@ class TestMaxTwin:
             max_twin(c, max_states=3)
         assert err.value.budget == 3
         assert err.value.needed > 3
+
+    def test_state_budget_binds_like_the_uncapped_core(self):
+        # the witness run, capped at the size, stores no state the uncapped
+        # run does not, so the budget that admits the uncapped run admits both
+        for seed in range(3):
+            c = random_coloring(12, 2, seed)
+            states = len(_compressed_max(c.n, _coloring_step(c))[1])
+            assert max_twin(c, max_states=states)[0] == max_twin(c)[0]
+            with pytest.raises(BudgetExceededError) as err:
+                max_twin(c, max_states=states - 1)
+            assert err.value.needed == states
+
+    @pytest.mark.parametrize("n,r,seed", [(10, 3, 1), (12, 2, 0)])
+    def test_witness_through_capped_memo_hit(self, n, r, seed):
+        # the witness run meets a stored state whose value reaches the cap;
+        # returning it would leave the path without that state's picks
+        c = random_coloring(n, r, seed)
+        size, witness = max_twin(c)
+        assert size == brute_max_twin(c)
+        assert witness.size == size
+        assert validate_twin(c, witness).ok
+
+    def test_seeded_witnesses(self):
+        for seed in range(300):
+            c = random_coloring(2 + seed % 13, 2 + seed % 3, seed)
+            size, witness = max_twin(c)
+            assert witness.size == size == plain_max(c.n, _coloring_step(c)), seed
+            assert validate_twin(c, witness).ok, seed
 
     @given(seed=st.integers(0, 10**9), data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -160,10 +185,10 @@ class TestMaxStringTwin:
 def assert_capped_core(n, step, expected):
     """_compressed_max at every cap 0..n//2+1 gives min(expected, cap), and
     every value it memoizes is the exact one of the uncapped search."""
-    size, _, exact = _compressed_max(n, step)
+    size, exact = _compressed_max(n, step)
     assert size == expected
     for cap in range(n // 2 + 2):
-        size, _, memo = _compressed_max(n, step, cap)
+        size, memo = _compressed_max(n, step, cap)
         assert size == min(expected, cap), cap
         assert all(exact[key] == value for key, value in memo.items()), cap
 
@@ -175,18 +200,18 @@ class TestCappedCore:
     def test_every_2_coloring(self, n):
         for colors in product((1, 2), repeat=n * (n - 1) // 2):
             c = EdgeColoring(n, 2, colors)
-            assert_capped_core(n, _coloring_step(c), max_twin(c, engine="plain")[0])
+            assert_capped_core(n, _coloring_step(c), plain_max(n, _coloring_step(c)))
 
     def test_seeded_colorings(self):
         for seed in range(200):
             c = random_coloring(2 + seed % 11, 2 + seed % 2, seed)
-            assert_capped_core(c.n, _coloring_step(c), max_twin(c, engine="plain")[0])
+            assert_capped_core(c.n, _coloring_step(c), plain_max(c.n, _coloring_step(c)))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_permutation(self, n):
         for values in permutations(range(1, n + 1)):
             pi = Permutation(values)
-            assert_capped_core(n, _weak_step(pi), max_weak_twin(pi, engine="plain")[0])
+            assert_capped_core(n, _weak_step(pi), plain_max(n, _weak_step(pi)))
 
 
 class TestCappedStringMax:
@@ -239,7 +264,7 @@ class TestMaxWeakTwin:
     @settings(max_examples=40, deadline=None)
     def test_engines_agree(self, seed, n):
         pi = random_permutation(n, seed)
-        assert max_weak_twin(pi, engine="plain")[0] == max_weak_twin(pi)[0]
+        assert plain_max(n, _weak_step(pi)) == max_weak_twin(pi)[0]
 
 
 class TestEnumerateTwins:
@@ -293,7 +318,7 @@ class TestExactTables:
         from twins.reductions import coloring_from_permutation
 
         expected = min(
-            max_twin(coloring_from_permutation(Permutation(v)), engine="plain")[0]
+            plain_max(4, _coloring_step(coloring_from_permutation(Permutation(v))))
             for v in permutations(range(1, 5))
         )
         result = exact_F_weak(4)
