@@ -72,6 +72,7 @@ def _compressed_max(
     start: StartPredicate = _always,
     max_states: int | None = None,
     path: list[tuple[int, int]] | None = None,
+    memo: dict | None = None,
 ) -> tuple[int, dict]:
     """(min(max twin size, cap), memo) of the compressed engine.
 
@@ -83,9 +84,11 @@ def _compressed_max(
     If the cap is reached and `path` is a list, each frame on the way back
     appends its picks (p, q), p for the chain ending at a, and the start
     loop appends (i, j); a memo hit that would reach the cap has no path,
-    so it is searched again.
+    so it is searched again. `memo` may come from an earlier run of the
+    same search at any cap, since every value in it is exact.
     """
-    memo: dict = {}
+    if memo is None:
+        memo = {}
     limit = n if cap is None else cap
     if n < 2 or limit <= 0:
         return 0, memo
@@ -147,14 +150,16 @@ def _maximize(
     """Exact maximum twin size under `step` with a witness.
 
     The uncapped core gives the size; a second run, capped at the size,
-    records the path of a search that reaches it. Both runs store at most
-    the states of the uncapped one, so `max_states` binds each alike. The
-    core extends the chain with the smaller end by p, so each step of the
-    reversed path gives p to the chain whose last index is lower.
+    records the path of a search that reaches it. It starts from the
+    first run's memo, which holds every state it can reach, so it looks
+    values up instead of searching and stores nothing: `max_states`
+    binds exactly as it does on the uncapped run. The core extends the
+    chain with the smaller end by p, so each step of the reversed path
+    gives p to the chain whose last index is lower.
     """
-    size = _compressed_max(n, step, max_states=max_states)[0]
+    size, memo = _compressed_max(n, step, max_states=max_states)
     path: list[tuple[int, int]] = []
-    _compressed_max(n, step, size, max_states=max_states, path=path)
+    _compressed_max(n, step, size, max_states=max_states, path=path, memo=memo)
     chain1: list[int] = []
     chain2: list[int] = []
     for p, q in reversed(path):
