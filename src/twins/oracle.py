@@ -97,7 +97,10 @@ def _compressed_max(
     # reaches it for n >= 3 (a twin has at most n // 2 pairs).
     last = limit - 1
 
-    def rec(a: int, b: int, mask: int, size: int) -> int:
+    # path is passed down, not captured: one more cell per call would be
+    # one more object in the garbage cycle each run leaves (rec refers to
+    # itself through its closure), which the scans pay for in collections.
+    def rec(a: int, b: int, mask: int, size: int, path: list | None) -> int:
         if size >= limit:
             return 0
         key = (a, mask >> a)
@@ -117,9 +120,9 @@ def _compressed_max(
             for q in qs:
                 if q != p and step(a, p, b, q):
                     if p < q:
-                        v = 1 + rec(p, q, pmask | 1 << q, size + 1)
+                        v = 1 + rec(p, q, pmask | 1 << q, size + 1, path)
                     else:
-                        v = 1 + rec(q, p, pmask | 1 << q, size + 1)
+                        v = 1 + rec(q, p, pmask | 1 << q, size + 1, path)
                     if v > best:
                         best = v
                         if size + v >= limit:
@@ -134,7 +137,7 @@ def _compressed_max(
     for i in range(1, n):
         for j in range(i + 1, n + 1):
             if start(i, j):
-                v = 1 + rec(i, j, 1 << i | 1 << j, 1)
+                v = 1 + rec(i, j, 1 << i | 1 << j, 1, path)
                 if v > best_size:
                     best_size = v
                     if v >= limit:
