@@ -97,9 +97,8 @@ def _compressed_max(
     # reaches it for n >= 3 (a twin has at most n // 2 pairs).
     last = limit - 1
 
-    # path is passed down, not captured: one more cell per call would be
-    # one more object in the garbage cycle each run leaves (rec refers to
-    # itself through its closure), which the scans pay for in collections.
+    # path is passed down, not captured: a cell for it would join the garbage
+    # cycle each run leaves (rec refers to itself), moving the scans' collections.
     def rec(a: int, b: int, mask: int, size: int, path: list | None) -> int:
         if size >= limit:
             return 0
@@ -163,8 +162,7 @@ def _maximize(
     size, memo = _compressed_max(n, step, max_states=max_states)
     path: list[tuple[int, int]] = []
     _compressed_max(n, step, size, max_states=max_states, path=path, memo=memo)
-    chain1: list[int] = []
-    chain2: list[int] = []
+    chain1, chain2 = [], []
     for p, q in reversed(path):
         low, high = (chain1, chain2) if not chain1 or chain1[-1] < chain2[-1] else (chain2, chain1)
         low.append(p)

@@ -89,8 +89,8 @@ class TestMaxTwin:
         assert err.value.needed > 3
 
     def test_state_budget_binds_like_the_uncapped_core(self):
-        # the witness run, capped at the size, stores no state the uncapped
-        # run does not, so the budget that admits the uncapped run admits both
+        # the witness run starts from the uncapped run's memo and stores no
+        # state, so the budget that admits the uncapped run admits both
         for seed in range(3):
             c = random_coloring(12, 2, seed)
             states = len(_compressed_max(c.n, _coloring_step(c))[1])
