@@ -54,7 +54,7 @@ def _always(i: int, j: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Search engines
+# Search core
 #
 # A twin is grown as a synchronized pair of chains: each step appends one
 # fresh index to each chain, both strictly beyond their chain's end, and
