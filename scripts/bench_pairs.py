@@ -7,17 +7,20 @@ Usage:
         [--seed N] [--work-dir DIR]
 
 Each side is exported with `git archive` into its own directory under
---work-dir (a new temporary directory by default). For every workload,
-PAIRS pairs of `perfbench/run.py --trace 0` runs are made one after the
-other, the parent first in odd pairs and the change first in even ones,
-so both sides see the same host conditions. Each run lasts the
-`run_seconds` of BENCHMARK.json, and its end-to-end metrics are read
-from the last line of the run's output and printed per pair, parent
-first.
+--work-dir (a new temporary directory by default), so `--change` equal
+to `--parent` gives a parent-against-itself set: two checkouts of one
+commit, which shows how far pairs drift with no change at all. For
+every workload, PAIRS pairs of `perfbench/run.py --trace 0` runs are
+made one after the other, the parent first in odd pairs and the change
+first in even ones, so both sides see the same host conditions. Each
+run lasts the `run_seconds` of BENCHMARK.json, and its end-to-end
+metrics are read from the last line of the run's output and printed
+per pair, parent first.
 
 Writes BENCH_<LABEL>.json in the repository root, after each workload:
-per workload the parent's and the change's quartiles of every metric,
-and how many pairs the change reads better in. Standard library only.
+per workload and metric the parent's and the change's quartiles, every
+pair's values as [parent, change], and how many pairs the change reads
+better in. Standard library only.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ def export(commit: str, dest: str) -> str:
         with open(archive, "wb") as fh:
             subprocess.run(["git", "archive", commit], cwd=ROOT, stdout=fh, check=True)
         with tarfile.open(archive) as tar:
-            tar.extractall(dest)
+            tar.extractall(dest, filter="data")
         os.remove(archive)
     return dest
 
@@ -94,6 +97,7 @@ def compare(pairs: list[tuple[dict, dict]], spec: list[dict]) -> dict:
             "parent": quartiles(parent),
             "change": quartiles(change),
             "change_wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
+            "pairs": [[p, c] for p, c in zip(parent, change)],
         }
     return metrics
 
@@ -114,8 +118,8 @@ def main() -> int:
     parent, change = rev_parse(args.parent), rev_parse(args.change)
     work_dir = args.work_dir or tempfile.mkdtemp(prefix="bench_pairs_")
     sides = {
-        "parent": export(parent, os.path.join(work_dir, parent[:12])),
-        "change": export(change, os.path.join(work_dir, change[:12])),
+        side: export(commit, os.path.join(work_dir, f"{side}-{commit[:12]}"))
+        for side, commit in (("parent", parent), ("change", change))
     }
 
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")

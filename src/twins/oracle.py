@@ -20,8 +20,10 @@ level, under an explicit enumeration budget. All three twin notions are
 hereditary, so once a prefix holds a twin of the running minimum its
 whole subtree is skipped. Prefixes are decided by the capped core or the
 capped string scan at that minimum, and each shard's first instance by
-the same kernel at a cap no twin exceeds. Index ranges can be sharded
-across a process pool.
+the same kernel at a cap no twin exceeds. The permutation walk memoizes
+its decisions by the prefix's pattern, keyed by the insertion rank of
+each value among those before it; the key grows by one entry per level.
+Index ranges can be sharded across a process pool.
 """
 
 from __future__ import annotations
@@ -97,8 +99,7 @@ def _compressed_max(
     # reaches it for n >= 3 (a twin has at most n // 2 pairs).
     last = limit - 1
 
-    # path is passed down, not captured: a cell for it would join the garbage
-    # cycle each run leaves (rec refers to itself), moving the scans' collections.
+    # path is passed down, not captured, so a run allocates no cell for it.
     def rec(a: int, b: int, mask: int, size: int, path: list | None) -> int:
         if size >= limit:
             return 0
@@ -133,16 +134,19 @@ def _compressed_max(
         return best
 
     best_size = 0
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            if start(i, j):
-                v = 1 + rec(i, j, 1 << i | 1 << j, 1, path)
-                if v > best_size:
-                    best_size = v
-                    if v >= limit:
-                        if path is not None:
-                            path.append((i, j))
-                        return limit, memo
+    try:
+        for i in range(1, n):
+            for j in range(i + 1, n + 1):
+                if start(i, j):
+                    v = 1 + rec(i, j, 1 << i | 1 << j, 1, path)
+                    if v > best_size:
+                        best_size = v
+                        if v >= limit:
+                            if path is not None:
+                                path.append((i, j))
+                            return limit, memo
+    finally:
+        del rec  # rec refers to itself: break the cycle so the memo is freed at once
     return best_size, memo
 
 
@@ -280,7 +284,10 @@ def _capped_string_max(
         dead[key] = m
         return False
 
-    dfs(0, (), 0, path)
+    try:
+        dfs(0, (), 0, path)
+    finally:
+        del dfs  # dfs refers to itself: break the cycle so `dead` is freed at once
     return best
 
 
@@ -360,8 +367,10 @@ def _walk(sizes, options, fix, lag, start, stop, capped, pattern=None):
     of the running minimum (k >= 2*best - lag) gets cap = best: twins are
     hereditary, so if that reaches best no completion is a new minimizer
     and the subtree is skipped, and at a leaf a value below best is
-    exact. With `pattern`, capped values are memoized by pattern(k); the
-    cap only falls, so a stored value either still reaches it or is exact.
+    exact. With `pattern`, capped values are memoized by pattern(k), a key
+    of the current prefix that fix keeps up to date (the permutation scan
+    extends it by one insertion rank per level); the cap only falls, so a
+    stored value either still reaches it or is exact.
     """
     depth = len(sizes) - 1
     chosen = [0] * depth
@@ -420,18 +429,48 @@ def _scan_colorings(args) -> tuple[int, int, tuple[int, ...], int]:
 
 
 def _scan_permutations(args) -> tuple[int, int, tuple[int, ...], int]:
+    """The walk over S_n in lexicographic order, one value per level.
+
+    A prefix's decision depends only on its pattern, the relative order of
+    its values, so decisions are memoized by pattern. The key is the
+    prefix's insertion ranks: entry i counts the values among vals[1..i-1]
+    below vals[i]. They determine the pattern and are determined by it, so
+    the memo's classes are the patterns'. fix(k, v) extends level k - 1's
+    key by one rank, a popcount of the used-value mask below v, and
+    options(k) looks the free values up by that mask, so no node sorts or
+    scans its prefix.
+    """
     n, start, stop = args
     vals = [0] * (n + 1)
 
     def step(a: int, p: int, b: int, q: int) -> bool:
         return (vals[a] < vals[p]) == (vals[b] < vals[q])
 
+    # used[k] is the bitmask of vals[1..k] and keys[k] their insertion ranks;
+    # fix(k, v) rewrites level k, so fix(k, 0) may leave it stale but unread.
+    used = [0] * (n + 1)
+    keys: list[tuple[int, ...]] = [()] * (n + 1)
+    free: dict[int, list[int]] = {}  # the unused values of each used mask
+
+    def fix(k: int, v: int) -> None:
+        vals[k] = v
+        if v:
+            below = used[k - 1]
+            used[k] = below | 1 << v
+            keys[k] = keys[k - 1] + ((below & ((1 << v) - 1)).bit_count(),)
+
+    def options(k: int) -> list[int]:
+        mask = used[k]
+        values = free.get(mask)
+        if values is None:
+            values = free[mask] = [v for v in range(1, n + 1) if not mask >> v & 1]
+        return values
+
     sizes = [math.factorial(n - k) for k in range(n + 1)]
     return _walk(
-        sizes, lambda k: [v for v in range(1, n + 1) if v not in vals[1 : k + 1]],
-        vals.__setitem__, 0, start, stop,
+        sizes, options, fix, 0, start, stop,
         capped=lambda k, cap: _compressed_max(k, step, cap)[0],
-        pattern=lambda k: tuple(sorted(range(1, k + 1), key=vals.__getitem__)),
+        pattern=keys.__getitem__,
     )
 
 

@@ -1,4 +1,6 @@
+import gc
 from itertools import permutations, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from brute_oracles import (
     plain_max,
 )
 from twins.constructions import random_coloring, random_permutation, random_string
+from twins import oracle
 from twins.core import EdgeColoring, relabel_palette, validate_twin
 from twins.oracle import (
     BudgetExceededError,
@@ -384,6 +387,86 @@ class TestShardedScans:
                 assert worker(args + (lo, hi))[:3] == first_minimum(scan, lo, hi), (jobs, lo, hi)
 
 
+def permutation_walk_hooks(n):
+    """The fix, options and pattern hooks that `_scan_permutations` hands to `_walk`."""
+    hooks = {}
+
+    def capture(sizes, options, fix, lag, start, stop, capped, pattern=None):
+        hooks.update(fix=fix, options=options, pattern=pattern)
+
+    with mock.patch.object(oracle, "_walk", capture):
+        _scan_permutations((n, 0, 1))
+    return hooks["fix"], hooks["options"], hooks["pattern"]
+
+
+def walk_key(hooks, n, prefix):
+    """Fix `prefix` as the walk does, checking each level's options, then
+    unfix it again; returns the pattern key of the whole prefix."""
+    fix, options, pattern = hooks
+    for k, v in enumerate(prefix, 1):
+        assert options(k - 1) == [u for u in range(1, n + 1) if u not in prefix[: k - 1]]
+        fix(k, v)
+    key = pattern(len(prefix))
+    for k in range(len(prefix), 0, -1):
+        fix(k, 0)
+    return key
+
+
+@st.composite
+def prefix_pairs(draw):
+    """(n, a, b): two prefixes of equal length of permutations of [n]; half
+    the time b is a relabeling of a that keeps its relative order."""
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, n))
+    a = draw(st.permutations(range(1, n + 1)))[:k]
+    b = draw(st.permutations(range(1, n + 1)))[:k]
+    if draw(st.booleans()):
+        support = sorted(b)
+        b = [0] * k
+        for rank, i in enumerate(sorted(range(k), key=a.__getitem__)):
+            b[i] = support[rank]
+    return n, tuple(a), tuple(b)
+
+
+class TestPatternKey:
+    """The walk's insertion-rank keys and the argsort patterns they replace
+    split prefixes into the same classes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(prefix_pairs())
+    def test_equal_exactly_when_patterns_are(self, pair):
+        n, a, b = pair
+        hooks = permutation_walk_hooks(n)
+        key_a, key_b = walk_key(hooks, n, a), walk_key(hooks, n, b)
+        assert len(key_a) == len(a)
+        argsort = [tuple(sorted(range(len(p)), key=p.__getitem__)) for p in (a, b)]
+        assert (key_a == key_b) == (argsort[0] == argsort[1])
+
+
+class TestKernelGarbage:
+    """A kernel's nested search refers to itself; each call breaks that cycle
+    on return, so its memo is freed at once, not by the cyclic collector."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: _compressed_max(8, _coloring_step(random_coloring(8, 2, 5))),
+            lambda: _compressed_max(8, _coloring_step(random_coloring(8, 2, 5)), 2, path=[]),
+            lambda: max_twin(random_coloring(8, 2, 5)),
+            lambda: _capped_string_max(random_string(14, 2, 3).letters, 7, []),
+        ],
+        ids=["core", "core-path", "max_twin", "string-scan"],
+    )
+    def test_call_leaves_no_cycle(self, call):
+        gc.disable()
+        try:
+            gc.collect()
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestDecided:
     """`decided` counts engine and capped-kernel runs, not instances."""
 
@@ -391,6 +474,11 @@ class TestDecided:
         assert exact_F(5, 2).decided == 94
         assert exact_F_weak(7).decided == 250
         assert exact_F_string(10, 2).decided == 319
+
+    def test_pinned_weak_8_and_9(self):
+        # The pattern memo's classes set these counts; a coarser key changes them.
+        assert exact_F_weak(8).decided == 1604
+        assert exact_F_weak(9).decided == 1797
 
     def test_prefixes_settle_most_instances(self):
         for result in (exact_F(6, 2), exact_F_weak(8), exact_F_string(13, 2)):
