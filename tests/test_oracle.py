@@ -18,8 +18,8 @@ from brute_oracles import (
     full_scan_strings,
     plain_max,
 )
-from twins.constructions import random_coloring, random_permutation, random_string
 from twins import oracle
+from twins.constructions import random_coloring, random_permutation, random_string
 from twins.core import EdgeColoring, relabel_palette, validate_twin
 from twins.oracle import (
     BudgetExceededError,
