@@ -19,14 +19,25 @@ per pair, parent first.
 
 Writes BENCH_<LABEL>.json in the repository root, after each workload:
 per workload and metric the parent's and the change's quartiles, every
-pair's values as [parent, change], and how many pairs the change reads
-better in. Standard library only.
+pair's values as [parent, change], how many pairs the change reads
+better in, and a no-regression verdict against the metric's `bound` in
+BENCHMARK.json, which is also printed, one line per metric:
+
+    worse       the change's median is worse than the parent's by more
+                than `bound`, relative to the parent's median;
+    unresolved  the parent's interquartile range, relative to its
+                median, is wider than `bound`, and not every change run
+                beats every parent run;
+    ok          otherwise.
+
+Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -40,7 +51,11 @@ METHOD = (
     "alternating pairs of runs, each side from its own `git archive` checkout, "
     "the side that runs first alternating between pairs; "
     "quartiles by statistics.quantiles(method='inclusive'); change_wins counts "
-    "pairs where the change reads better, ties for neither"
+    "pairs where the change reads better, ties for neither; verdict is 'worse' if the "
+    "change's median is worse than the parent's by more than the metric's bound (relative "
+    "to the parent's median), else 'unresolved' if the parent's interquartile range "
+    "relative to its median exceeds the bound and not every change run beats every "
+    "parent run, else 'ok'"
 )
 
 
@@ -87,19 +102,44 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": round(q1, 6), "median": round(median, 6), "q3": round(q3, 6)}
 
 
+def relative(delta: float, base: float) -> float:
+    """delta as a fraction of |base|; any growth from a zero base is infinite."""
+    return delta / abs(base) if base else (math.inf if delta > 0 else 0.0)
+
+
+def verdict(parent: dict, change: dict, sign: int, bound: float, separated: bool) -> str:
+    """'worse', 'unresolved' or 'ok' from the two sides' quartiles (see METHOD);
+    `separated` is true when every change run beats every parent run."""
+    if relative(sign * (change["median"] - parent["median"]), parent["median"]) > bound:
+        return "worse"
+    if relative(parent["q3"] - parent["q1"], parent["median"]) > bound and not separated:
+        return "unresolved"
+    return "ok"
+
+
 def compare(pairs: list[tuple[dict, dict]], spec: list[dict]) -> dict:
     metrics = {}
     for metric in spec:
         name, sign = metric["name"], (1 if metric["better"] == "lower" else -1)
         parent = [p[name] for p, _ in pairs]
         change = [c[name] for _, c in pairs]
+        separated = max(sign * c for c in change) < min(sign * p for p in parent)
+        stats = {"parent": quartiles(parent), "change": quartiles(change)}
         metrics[name] = {
-            "parent": quartiles(parent),
-            "change": quartiles(change),
+            **stats,
             "change_wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
+            "verdict": verdict(stats["parent"], stats["change"], sign, metric["bound"], separated),
             "pairs": [[p, c] for p, c in zip(parent, change)],
         }
     return metrics
+
+
+def verdict_line(workload: str, name: str, m: dict, bound: float) -> str:
+    p, c = m["parent"], m["change"]
+    shift = relative(c["median"] - p["median"], p["median"])
+    spread = relative(p["q3"] - p["q1"], p["median"])
+    return (f"{workload} {name}: {m['verdict']} (median {p['median']:.4g} -> {c['median']:.4g}, "
+            f"{shift:+.1%}; parent IQR {spread:.1%} of median; bound {bound:.0%})")
 
 
 def main() -> int:
@@ -148,8 +188,11 @@ def main() -> int:
         if not pairs:
             print(f"{workload}: no pair completed", file=sys.stderr)
             return 1
+        metrics = compare(pairs, spec)
+        for m in spec:
+            print(verdict_line(workload, m["name"], metrics[m["name"]], m["bound"]), flush=True)
         bench["workloads"][workload] = [
-            {"seed": args.seed, "pairs": len(pairs), "failed_runs": failed, "metrics": compare(pairs, spec)}
+            {"seed": args.seed, "pairs": len(pairs), "failed_runs": failed, "metrics": metrics}
         ]
         with open(path, "w") as fh:
             json.dump(bench, fh, indent=1)

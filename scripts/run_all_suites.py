@@ -4,15 +4,16 @@
 Usage:
     python scripts/run_all_suites.py [--out DIR] [--seed N] [--jobs K]
 
-Equivalent to invoking `twin <suite> --out DIR` for each suite. Exits
-nonzero if any assertion-class case fails anywhere.
+Equivalent to invoking `twin <suite> --out DIR` for each suite. Exits 1
+if any assertion-class case fails anywhere, and 2 on a configuration
+error such as `--jobs 0`.
 """
 
 import argparse
 import sys
 import time
 
-from twins.harness import SUITE_NAMES, default_config, run_suite
+from twins.harness import SUITE_NAMES, ConfigError, default_config, run_suite
 
 
 def main() -> int:
@@ -30,7 +31,11 @@ def main() -> int:
         config.jobs = args.jobs
         config.out_dir = args.out
         started = time.monotonic()
-        report = run_suite(config)
+        try:
+            report = run_suite(config)
+        except ConfigError as exc:
+            print(f"configuration error - {exc}", file=sys.stderr)
+            return 2
         elapsed = time.monotonic() - started
         print(report.summary_text())
         print(f"  elapsed: {elapsed:.1f}s")

@@ -48,7 +48,6 @@ from .core import EMPTY_TWIN, EdgeColoring, TwinPair, twin_to_json, validate_twi
 from .oracle import (
     DEFAULT_MAX_ENUMERATIONS,
     BudgetExceededError,
-    _run_shards,
     enumerate_twins,
     exact_F,
     exact_F_string,
@@ -167,6 +166,8 @@ class SuiteConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("config", f"must be a JSON object, got {type(data).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -178,8 +179,19 @@ class SuiteConfig:
 
     @classmethod
     def from_json_file(cls, path: str) -> "SuiteConfig":
+        return cls.from_dict(_read_json(path, "config"))
+
+
+def _read_json(path: str, what: str):
+    """The JSON value in the file at `path`; a file that cannot be read or
+    parsed raises ConfigError naming `what` it was meant to hold."""
+    try:
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(what, f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise ConfigError(what, f"{path} is not valid JSON: {exc}") from None
 
 
 def default_config(suite: str, seed: int = DEFAULT_SEED) -> SuiteConfig:
@@ -710,8 +722,11 @@ def run_suite(config: SuiteConfig, only_case: str | None = None) -> RunReport:
             cases, post = selected, None
     report = RunReport(config.suite, VERSION, config.seed, config.to_dict())
     if config.jobs > 1 and len(cases) > 1:
+        import multiprocessing
+
         payloads = [(config.suite, config.to_dict(), case) for case in cases]
-        records = _run_shards(_pool_run_case, payloads, config.jobs)
+        with multiprocessing.Pool(config.jobs) as pool:
+            records = pool.map(_pool_run_case, payloads)
     else:
         records = []
         started = time.monotonic()
@@ -767,8 +782,9 @@ def tables_values_csv(report: RunReport) -> str:
 
 def replay_case(report_path: str, case_id: str) -> CaseRecord:
     """Re-run one case from a written report, in isolation."""
-    with open(report_path) as fh:
-        payload = json.load(fh)
+    payload = _read_json(report_path, "report")
+    if not isinstance(payload, dict) or "config" not in payload:
+        raise ConfigError("report", f"{report_path} holds no \"config\" object")
     config = SuiteConfig.from_dict(payload["config"])
     config.out_dir = None
     report = run_suite(config, only_case=case_id)

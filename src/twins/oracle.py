@@ -19,11 +19,11 @@ walk their spaces depth first in a fixed order, one coordinate per
 level, under an explicit enumeration budget. All three twin notions are
 hereditary, so once a prefix holds a twin of the running minimum its
 whole subtree is skipped. Prefixes are decided by the capped core or the
-capped string scan at that minimum, and each shard's first instance by
-the same kernel at a cap no twin exceeds. The permutation walk memoizes
-its decisions by the prefix's pattern, keyed by the insertion rank of
-each value among those before it; the key grows by one entry per level.
-Index ranges can be sharded across a process pool.
+capped string scan at that minimum, and the first leaf by the same
+kernel at a cap no twin exceeds. The permutation walk memoizes its
+decisions by the prefix's pattern, keyed by the insertion rank of each
+value among those before it; the key grows by one entry per level. Each
+space is walked once, in-process, by value.
 """
 
 from __future__ import annotations
@@ -340,7 +340,7 @@ def enumerate_twins(
 @dataclass
 class ExtremalResult:
     """Minimum value over the enumerated space, with a first minimizer;
-    `decided` counts the engine and capped-kernel runs over all shards."""
+    `decided` counts the engine and capped-kernel runs of the walk."""
 
     value: int
     minimizer: object
@@ -353,36 +353,33 @@ def _check_budget(what: str, total: int, max_enumerations: int) -> None:
         raise BudgetExceededError(what, total, max_enumerations)
 
 
-def _walk(sizes, options, fix, lag, start, stop, capped, pattern=None):
-    """(value, index, instance, decided) of the minimum over instances
-    [start, stop) of a scan space, walked depth first.
+def _walk(depth, options, fix, lag, capped, pattern=None):
+    """(value, instance, decided) of the first minimum over a scan space
+    of `depth` coordinates, walked depth first.
 
-    A node with k coordinates fixed covers sizes[k] consecutive indices;
-    its children fix coordinate k + 1 (1-based) to each of options(k) in
-    turn by fix(k + 1, v), and fix(k + 1, 0) unfixes it, so leaves come in
-    index order. A node is decided by capped(k, cap) = min(max twin of the
-    prefix, cap). The first leaf gets cap = depth, which no twin exceeds
-    (K_2 has one edge and a twin of size 1, so the cap can be reached),
-    so its value is exact. After it, a node whose prefix can hold a twin
-    of the running minimum (k >= 2*best - lag) gets cap = best: twins are
-    hereditary, so if that reaches best no completion is a new minimizer
-    and the subtree is skipped, and at a leaf a value below best is
-    exact. With `pattern`, capped values are memoized by pattern(k), a key
-    of the current prefix that fix keeps up to date (the permutation scan
-    extends it by one insertion rank per level); the cap only falls, so a
-    stored value either still reaches it or is exact.
+    A node with k coordinates fixed has as children coordinate k + 1
+    (1-based) fixed to each of options(k) in turn by fix(k + 1, v), and
+    fix(k + 1, 0) unfixes it, so leaves come in the space's order. A node
+    is decided by capped(k, cap) = min(max twin of the prefix, cap). The
+    first leaf gets cap = depth, which no twin exceeds (K_2 has one edge
+    and a twin of size 1, so the cap can be reached), so its value is
+    exact. After it, a node whose prefix can hold a twin of the running
+    minimum (k >= 2*best - lag) gets cap = best: twins are hereditary, so
+    if that reaches best no completion is a new minimizer and the subtree
+    is skipped, and at a leaf a value below best is exact. With `pattern`,
+    capped values are memoized by pattern(k), a key of the current prefix
+    that fix keeps up to date (the permutation scan extends it by one
+    insertion rank per level); the cap only falls, so a stored value
+    either still reaches it or is exact.
     """
-    depth = len(sizes) - 1
     chosen = [0] * depth
     memo: dict = {}
     best = None
-    best_idx, best_inst, decided = start, (), 0
+    best_inst, decided = (), 0
 
-    def rec(k: int, lo: int) -> None:
-        nonlocal best, best_idx, best_inst, decided
-        size = sizes[k + 1]
-        skip = max(0, (start - lo) // size)
-        for at, v in zip(range(lo + skip * size, stop, size), options(k)[skip:]):
+    def rec(k: int) -> None:
+        nonlocal best, best_inst, decided
+        for v in options(k):
             fix(k + 1, v)
             chosen[k] = v
             if k + 1 == depth or (best is not None and k + 1 >= 2 * best - lag):
@@ -396,17 +393,19 @@ def _walk(sizes, options, fix, lag, start, stop, capped, pattern=None):
                 if best is not None and value >= best:
                     continue
                 if k + 1 == depth:
-                    best, best_idx, best_inst = value, at, tuple(chosen)
+                    best, best_inst = value, tuple(chosen)
                     continue
-            rec(k + 1, at)
+            rec(k + 1)
         fix(k + 1, 0)
 
-    rec(0, 0)
-    return best, best_idx, best_inst, decided
+    try:
+        rec(0)
+    finally:
+        del rec  # rec refers to itself: break the cycle so the memo is freed at once
+    return best, best_inst, decided
 
 
-def _scan_colorings(args) -> tuple[int, int, tuple[int, ...], int]:
-    n, r, start, stop = args
+def _scan_colorings(n: int, r: int) -> tuple[int, tuple[int, ...], int]:
     edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     mat = [[0] * (n + 1) for _ in range(n + 1)]
 
@@ -421,14 +420,13 @@ def _scan_colorings(args) -> tuple[int, int, tuple[int, ...], int]:
     for k in range(1, len(edges) + 1):
         fix(k, 0)
     palette = list(range(1, r + 1))
-    sizes = [r ** (len(edges) - k) for k in range(len(edges) + 1)]
     return _walk(
-        sizes, lambda k: palette, fix, 2, start, stop,
+        len(edges), lambda k: palette, fix, 2,
         capped=lambda k, cap: _compressed_max(n, step, cap)[0],
     )
 
 
-def _scan_permutations(args) -> tuple[int, int, tuple[int, ...], int]:
+def _scan_permutations(n: int) -> tuple[int, tuple[int, ...], int]:
     """The walk over S_n in lexicographic order, one value per level.
 
     A prefix's decision depends only on its pattern, the relative order of
@@ -440,7 +438,6 @@ def _scan_permutations(args) -> tuple[int, int, tuple[int, ...], int]:
     options(k) looks the free values up by that mask, so no node sorts or
     scans its prefix.
     """
-    n, start, stop = args
     vals = [0] * (n + 1)
 
     def step(a: int, p: int, b: int, q: int) -> bool:
@@ -466,53 +463,26 @@ def _scan_permutations(args) -> tuple[int, int, tuple[int, ...], int]:
             values = free[mask] = [v for v in range(1, n + 1) if not mask >> v & 1]
         return values
 
-    sizes = [math.factorial(n - k) for k in range(n + 1)]
     return _walk(
-        sizes, options, fix, 0, start, stop,
+        n, options, fix, 0,
         capped=lambda k, cap: _compressed_max(k, step, cap)[0],
         pattern=keys.__getitem__,
     )
 
 
-def _scan_strings(args) -> tuple[int, int, tuple[int, ...], int]:
-    n, r, start, stop = args
+def _scan_strings(n: int, r: int) -> tuple[int, tuple[int, ...], int]:
     letters = [0] * (n + 1)
     palette = list(range(1, r + 1))
     return _walk(
-        [r ** (n - k) for k in range(n + 1)], lambda k: palette, letters.__setitem__, 0, start, stop,
+        n, lambda k: palette, letters.__setitem__, 0,
         capped=lambda k, cap: _capped_string_max(tuple(letters[1 : k + 1]), cap),
     )
-
-
-def _run_shards(worker, arg_sets, jobs: int):
-    if jobs <= 1 or len(arg_sets) <= 1:
-        return [worker(a) for a in arg_sets]
-    import multiprocessing
-
-    with multiprocessing.Pool(processes=jobs) as pool:
-        return pool.map(worker, arg_sets)
-
-
-def _shard_ranges(total: int, jobs: int) -> list[tuple[int, int]]:
-    shards = max(1, min(jobs, total))
-    span, extra = divmod(total, shards)
-    bounds = [s * span + min(s, extra) for s in range(shards + 1)]
-    return list(zip(bounds, bounds[1:]))
-
-
-def _scan(worker, head: tuple, total: int, jobs: int) -> tuple[int, tuple[int, ...], int]:
-    """(minimum, first minimizer, decisions) of a space sharded over `jobs`."""
-    shards = [head + bounds for bounds in _shard_ranges(total, jobs)]
-    results = _run_shards(worker, shards, jobs)
-    value, _, instance, _ = min(results, key=lambda t: (t[0], t[1]))
-    return value, instance, sum(t[3] for t in results)
 
 
 def exact_F(
     n: int,
     r: int,
     max_enumerations: int = DEFAULT_MAX_ENUMERATIONS,
-    jobs: int = 1,
 ) -> ExtremalResult:
     """Minimum of max_twin over all r-colorings of K_n, with a first minimizer.
 
@@ -528,14 +498,13 @@ def exact_F(
         return ExtremalResult(0, EdgeColoring(n, r, ()), 1)
     total = r ** (n * (n - 1) // 2)
     _check_budget("coloring enumeration", total, max_enumerations)
-    value, colors, decided = _scan(_scan_colorings, (n, r), total, jobs)
+    value, colors, decided = _scan_colorings(n, r)
     return ExtremalResult(value, EdgeColoring(n, r, colors), total, decided)
 
 
 def exact_F_weak(
     n: int,
     max_enumerations: int = DEFAULT_MAX_ENUMERATIONS,
-    jobs: int = 1,
 ) -> ExtremalResult:
     """Minimum of max_weak_twin over S_n (n <= 9 at the default budget),
     walked in lexicographic order with prefix decisions memoized by pattern."""
@@ -543,7 +512,7 @@ def exact_F_weak(
         raise ValueError("n must be positive")
     total = math.factorial(n)
     _check_budget("permutation enumeration", total, max_enumerations)
-    value, values, decided = _scan(_scan_permutations, (n,), total, jobs)
+    value, values, decided = _scan_permutations(n)
     return ExtremalResult(value, Permutation(values), total, decided)
 
 
@@ -551,7 +520,6 @@ def exact_F_string(
     n: int,
     r: int,
     max_enumerations: int = DEFAULT_MAX_ENUMERATIONS,
-    jobs: int = 1,
 ) -> ExtremalResult:
     """Minimum of max_string_twin over [r]^n. For r=2 the default budget
     admits n <= 21; n = 20 takes about 40 s.
@@ -564,5 +532,5 @@ def exact_F_string(
         raise ValueError("n and r must be positive")
     total = r**n
     _check_budget("string enumeration", total, max_enumerations)
-    value, letters, decided = _scan(_scan_strings, (n, r), total, jobs)
+    value, letters, decided = _scan_strings(n, r)
     return ExtremalResult(value, LetterString(r, letters), total, decided)

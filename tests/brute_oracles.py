@@ -248,7 +248,7 @@ def full_scan_strings(n, r):
     return [(letters, core_string_max(letters)) for letters in product(range(1, r + 1), repeat=n)]
 
 
-def first_minimum(scan, lo=0, hi=None):
-    """(value, index, instance) of the first minimum of scan[lo:hi]."""
-    index = min(range(lo, len(scan) if hi is None else hi), key=lambda i: scan[i][1])
-    return scan[index][1], index, scan[index][0]
+def first_minimum(scan):
+    """(value, instance) of the first minimum of scan."""
+    instance, value = min(scan, key=lambda item: item[1])
+    return value, instance

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -402,6 +405,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"configuration error - grid: entry 0 {entry!r}: {problem}" in err
 
+    # None leaves no file at the path; "\udcff" writes the byte 0xff, which is not UTF-8.
+    @pytest.mark.parametrize(
+        "text", ["{not json", "5", "null", '["suite"]', "\udcff", None], ids=repr
+    )
+    def test_unusable_config_file_exit_code(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        assert main(["tables", "--config", str(path)]) == 2
+        assert "configuration error - config: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text", ["{not json", "5", "null", "[]", '{"suite": "tables"}', '{"config": 5}', None],
+        ids=repr,
+    )
+    def test_unusable_report_file_exit_code(self, tmp_path, capsys, text):
+        path = tmp_path / "tables_report.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["replay", "--report", str(path), "--case", "tables-00000"]) == 2
+        assert "configuration error - " in capsys.readouterr().err
+
     def test_suite_mismatch_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(tiny_config("twinbound").to_dict()))
@@ -418,3 +443,10 @@ def _write_cfg(tmp_path):
     path = tmp_path / "bc.json"
     path.write_text(json.dumps(tiny_config("blockclaims").to_dict()))
     return str(path)
+
+
+def test_run_all_suites_config_error_exit_code(monkeypatch, capsys):
+    script = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "run_all_suites.py"))
+    monkeypatch.setattr(sys, "argv", ["run_all_suites.py", "--jobs", "0"])
+    assert script["main"]() == 2
+    assert "configuration error - jobs: " in capsys.readouterr().err

@@ -29,7 +29,6 @@ from twins.oracle import (
     _scan_colorings,
     _scan_permutations,
     _scan_strings,
-    _shard_ranges,
     _weak_step,
     enumerate_twins,
     exact_F,
@@ -341,22 +340,10 @@ class TestExactTables:
         assert result.value == expected == 2
         assert max_string_twin(result.minimizer)[0] == 2
 
-    def test_sharding_matches_serial(self):
-        serial = exact_F(4, 2, jobs=1)
-        parallel = exact_F(4, 2, jobs=3)
-        assert (serial.value, serial.minimizer) == (parallel.value, parallel.minimizer)
-        s2 = exact_F_string(8, 2, jobs=2)
-        assert s2.value == 2
-        s1 = exact_F_string(8, 2)
-        assert (s2.value, s2.minimizer) == (s1.value, s1.minimizer)
-        w2 = exact_F_weak(5, jobs=2)
-        w1 = exact_F_weak(5)
-        assert (w2.value, w2.minimizer) == (w1.value, w1.minimizer)
-
     @pytest.mark.parametrize("n", range(1, 12))
     def test_string_minimizer_matches_uncapped_scan(self, n):
         result = exact_F_string(n, 2)
-        value, _, letters = first_minimum(full_scan_strings(n, 2))
+        value, letters = first_minimum(full_scan_strings(n, 2))
         assert (result.value, result.minimizer.letters) == (value, letters)
 
 
@@ -376,26 +363,24 @@ SCAN_SPACES = (
 
 
 class TestShardedScans:
-    """The pruned walk of every shard range against the unpruned scan of it."""
+    """The pruned walk of each space against the unpruned scan of it; the
+    whole space is the one range a walk covers."""
 
     @pytest.mark.parametrize("kind,args", SCAN_SPACES)
     def test_every_shard_range(self, kind, args):
         worker, full_scan = SCANS[kind]
-        scan = full_scan(*args)
-        for jobs in range(1, 8):
-            for lo, hi in _shard_ranges(len(scan), jobs):
-                assert worker(args + (lo, hi))[:3] == first_minimum(scan, lo, hi), (jobs, lo, hi)
+        assert worker(*args)[:2] == first_minimum(full_scan(*args))
 
 
 def permutation_walk_hooks(n):
     """The fix, options and pattern hooks that `_scan_permutations` hands to `_walk`."""
     hooks = {}
 
-    def capture(sizes, options, fix, lag, start, stop, capped, pattern=None):
+    def capture(depth, options, fix, lag, capped, pattern=None):
         hooks.update(fix=fix, options=options, pattern=pattern)
 
     with mock.patch.object(oracle, "_walk", capture):
-        _scan_permutations((n, 0, 1))
+        _scan_permutations(n)
     return hooks["fix"], hooks["options"], hooks["pattern"]
 
 
@@ -454,8 +439,14 @@ class TestKernelGarbage:
             lambda: _compressed_max(8, _coloring_step(random_coloring(8, 2, 5)), 2, path=[]),
             lambda: max_twin(random_coloring(8, 2, 5)),
             lambda: _capped_string_max(random_string(14, 2, 3).letters, 7, []),
+            lambda: exact_F(5, 2),
+            lambda: exact_F_weak(7),
+            lambda: exact_F_string(10, 2),
+            lambda: exact_F(1, 2),
+            lambda: exact_F_weak(1),
         ],
-        ids=["core", "core-path", "max_twin", "string-scan"],
+        ids=["core", "core-path", "max_twin", "string-scan", "F-5-2", "F_weak-7", "F_string-10-2",
+             "F-1-2", "F_weak-1"],
     )
     def test_call_leaves_no_cycle(self, call):
         gc.disable()
@@ -488,13 +479,9 @@ class TestDecided:
         # K_2 has one edge and a twin of size 1, so the first leaf's cap
         # (the depth, 1) equals its maximum: the cap may be reached, not passed.
         for r in (1, 2, 3):
-            assert _scan_colorings((2, r, 0, r)) == (1, 0, (1,), r)
-            result = exact_F(2, r, jobs=2)
+            assert _scan_colorings(2, r) == (1, (1,), r)
+            result = exact_F(2, r)
             assert (result.value, result.minimizer.colors, result.decided) == (1, (1,), r)
-
-    def test_sharded_runs_sum_their_shards(self):
-        shards = [_scan_strings((10, 2, lo, hi)) for lo, hi in _shard_ranges(2**10, 3)]
-        assert exact_F_string(10, 2, jobs=3).decided == sum(s[3] for s in shards)
 
 
 class TestGroundTruthTables:
@@ -520,6 +507,12 @@ class TestGroundTruthTables:
         w8, w9 = exact_F_weak(8), exact_F_weak(9)
         assert (w8.value, w8.minimizer.values) == (3, (1, 2, 3, 4, 5, 8, 7, 6))
         assert (w9.value, w9.minimizer.values) == (3, (1, 2, 3, 8, 7, 6, 5, 4, 9))
+
+    def test_weak_10(self):
+        # The largest permutation row within the test budget; the pattern
+        # memo settles most of its prefixes.
+        w10 = exact_F_weak(10, max_enumerations=2**22)
+        assert (w10.value, w10.minimizer.values, w10.decided) == (3, (1, 6, 5, 4, 3, 2, 8, 9, 10, 7), 7003)
 
     def test_weak(self):
         assert {n: exact_F_weak(n).value for n in range(2, 8)} == {
